@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -79,24 +78,6 @@ def _csv_text(header, rows) -> str:
     for row in rows:
         writer.writerow([_cell(value) for value in row])
     return buffer.getvalue()
-
-
-def _thread_cap() -> int:
-    """Validate CONTEST_FORGE_THREADS: non-negative int, 0 = auto."""
-    raw = os.environ.get("CONTEST_FORGE_THREADS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"CONTEST_FORGE_THREADS must be a non-negative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValidationError(
-            f"CONTEST_FORGE_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    return value
 
 
 def _load_json(path: str):
@@ -356,7 +337,6 @@ def main(argv=None) -> int:
         print(f"contest-forge: error: {exc}", file=sys.stderr)
         return 1
     try:
-        _thread_cap()
         text = args.run(args)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"contest-forge: error: {exc}", file=sys.stderr)

@@ -7,7 +7,12 @@ positive root (mapped by p = r/(1+r)) of the polynomial
 
     Q_j(x) = (j-1) C(n-1, j-1) x^(j-1) - sum_{k=1}^{j-1} C(n-1, k-1) x^(k-1),
 
-which has a single sign change by Descartes' rule. In the scaling limit
+which has a single sign change by Descartes' rule. With p = r/(1+r),
+(1-p)^(n-1) Q_j(r) = (j-1) pmf(j-1) - S_{j-1}(p) for B(n-1, p), so
+``breakpoints`` finds every p_j at once by bisecting the sign of
+log((j-1) pmf(j-1)) - log S_{j-1}(p) over p in (0, 1). The expanded
+polynomial overflows a float near n = 190; ``q_polynomial`` stays as the
+test reference. In the scaling limit
 (n -> infinity, lambda = n p fixed) binomial curves become Poisson ones and
 the design problem has a clean limit object, solved here by bisection. The
 bound_audit routine numerically spot-checks the inequalities the asymptotic
@@ -22,17 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .contest import expected_prize, make_simple_contest
+from .contest import make_simple_contest
 from .distributions import Uniform
 from .errors import OrderingViolation, OutOfRange, ValidationError
 from .homogeneous import optimal_contest, participation_rate
 from .numerics import (
+    binom_logpmf,
     binom_pmf,
     binom_tail_geq,
     bisect_decreasing,
-    find_positive_root_sign_change,
     log_binom_pmf,
     poisson_cdf_partial,
+    rank_cdf,
 )
 
 __all__ = [
@@ -53,6 +59,8 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
+# bisection steps for the breakpoint roots on (0, 1): 2^-64 < 1e-19 absolute
+_ROOT_STEPS = 64
 
 # Audit constants for the tail band check; the underlying analysis only pins
 # the orders, so these are deliberately generous.
@@ -107,7 +115,11 @@ class ScanRow:
 
 
 def q_polynomial(n: int, j: int, x: float) -> float:
-    """Q_j(x); Q_j(0) = -1 and Q_j increases through its single positive root."""
+    """Q_j(x); Q_j(0) = -1 and Q_j increases through its single positive root.
+
+    Exact-integer coefficients; a reference for ``breakpoints``, whose roots
+    it defines. Raises OverflowError once C(n-1, j-1) x^(j-1) exceeds a float.
+    """
     if not 2 <= j <= n:
         raise ValidationError(f"need 2 <= j <= n, got j={j}, n={n}")
     lead = (j - 1) * math.comb(n - 1, j - 1) * x ** (j - 1)
@@ -116,25 +128,36 @@ def q_polynomial(n: int, j: int, x: float) -> float:
 
 
 def breakpoints(n: int, budget: float) -> BreakpointTable:
-    """Solve Q_j for each j = 2..n and tabulate (p_j, c_j).
+    """Tabulate (p_j, c_j) for j = 2..n.
 
-    p_j = r_j / (1 + r_j) for the positive root r_j; c_j is the common value
-    of the M^j and M^{j-1} curves there. Raises OrderingViolation if the
-    resulting sequence is not strictly decreasing with gaps above 1e-12 * V.
+    p_j is where (j-1) Pr[B(n-1, p) = j-1] = Pr[B(n-1, p) <= j-2], the root
+    of Q_j mapped to p; all n-1 roots are bisected together. c_j = (V/j) S_j(p_j)
+    is the common value of the M^j and M^{j-1} curves there. Raises
+    OrderingViolation if the resulting sequence is not strictly decreasing
+    with gaps above 1e-12 * V.
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    entries = []
-    x_start = 1.0 / (n - 1)
-    for j in range(2, n + 1):
-        root = find_positive_root_sign_change(
-            lambda x, j=j: q_polynomial(n, j, x), x_start
-        )
-        r = root.root
-        p_j = r / (1.0 + r)
-        c_j = expected_prize(make_simple_contest(j, budget, n), p_j)
-        entries.append((j, p_j, c_j))
-    table = BreakpointTable(n=n, budget=float(budget), entries=tuple(entries))
+    js = np.arange(2, n + 1)
+    log_rank = np.log(js - 1.0)
+    lo = np.zeros(js.shape)
+    hi = np.ones(js.shape)
+    # the sign is -inf at p = 0 and +inf at p = 1; where S_{j-1} underflows
+    # (p far above the root) log 0 = -inf gives the right sign
+    with np.errstate(divide="ignore"):
+        for _ in range(_ROOT_STEPS):
+            mid = 0.5 * (lo + hi)
+            above = log_rank + binom_logpmf(n - 1, js - 1, mid) > np.log(
+                rank_cdf(n, js - 1, mid)
+            )
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+    p = 0.5 * (lo + hi)
+    c = (budget / js) * rank_cdf(n, js, p)
+    entries = tuple(
+        (int(j), float(p_j), float(c_j)) for j, p_j, c_j in zip(js, p, c)
+    )
+    table = BreakpointTable(n=n, budget=float(budget), entries=entries)
     thresholds = table.thresholds()
     gaps = thresholds[:-1] - thresholds[1:]
     if np.any(gaps <= 1e-12 * budget):

@@ -11,18 +11,23 @@ which is weakly decreasing in p, strictly iff v_1 > v_n.
 
 The rank-gap transform w_j = j * (v_j - v_{j+1}) (with v_{n+1} = 0) rewrites
 that curve as a nonnegative mixture of the curves of "simple" contests that
-split the budget equally among the top j ranks. Both routes are implemented
-and the test suite pins them together; the mixture route is the one the
-vectorised solvers use.
+split the budget equally among the top j ranks:
+
+    c(p) = sum_{w_j > 0} (w_j / j) * S_j(p),   S_j(p) = Pr[B(n-1, p) <= j-1]
+
+Both ``expected_prize`` and ``expected_prize_curve`` evaluate this mixture
+through the binomial kernel ``numerics.rank_cdf``; the weights are computed
+once per prize vector. The test suite checks both against a rank-probability
+dot product computed independently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     BudgetExceeded,
@@ -33,6 +38,7 @@ from .errors import (
     NotMonotone,
     ValidationError,
 )
+from .numerics import rank_cdf
 
 __all__ = [
     "PrizeVector",
@@ -88,6 +94,13 @@ class PrizeVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
+
+    @cached_property
+    def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks j with w_j > 0 and their coefficients w_j / j in the curve mixture."""
+        w = w_transform(self).as_array()
+        js = np.flatnonzero(w > 0.0) + 1
+        return js, w[js - 1] / js
 
 
 @dataclass(frozen=True)
@@ -145,26 +158,20 @@ def expected_prize(contest: PrizeVector, p: float) -> float:
     """Expected prize at independent-loss probability p (the curve c(p))."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    n = contest.n
-    pmf = stats.binom.pmf(np.arange(n), n - 1, p)
-    return float(np.dot(contest.as_array(), pmf))
+    js, coef = contest._mixture
+    return float(np.dot(coef, rank_cdf(contest.n, js, p)))
 
 
 def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
     """Vectorised c(p) over an array of loss probabilities.
 
-    Uses the rank-gap mixture: c(p) = sum_j (w_j / j) * Pr[B(n-1, p) <= j-1],
-    summing only over nonzero weights, so simple contests cost one binomial
+    Evaluates the rank-gap mixture sum_{w_j > 0} (w_j / j) * S_j(p) in one
+    kernel call over every (j, p) pair, so simple contests cost one binomial
     cdf evaluation per p.
     """
     ps = np.asarray(ps, dtype=float)
-    w = w_transform(contest).as_array()
-    n = contest.n
-    out = np.zeros_like(ps)
-    for idx in np.nonzero(w > 0.0)[0]:
-        j = idx + 1
-        out += (w[idx] / j) * stats.binom.cdf(j - 1, n - 1, ps)
-    return out
+    js, coef = contest._mixture
+    return np.tensordot(coef, rank_cdf(contest.n, js.reshape(-1, *(1,) * ps.ndim), ps), axes=1)
 
 
 def w_transform(contest: PrizeVector) -> WTransform:

@@ -8,11 +8,12 @@ reduces, through the rank-gap transform, to a linear program over the weights
 whose optimum is one-hot: some simple contest M^j is always optimal. The
 argmax over j of
 
-    y_j(p) = (1/j) * sum_{k=1}^j C(n-1, k-1) p^(k-1) (1-p)^(n-k)
+    y_j(p) = (1/j) * sum_{k=1}^j C(n-1, k-1) p^(k-1) (1-p)^(n-k) = S_j(p) / j
 
-is found by a running-average recurrence, y_{j+1} - y_j = (x_{j+1} - y_j)/(j+1),
-stopping at the first j with x_{j+1} <= y_j; unimodality of the binomial pmf
-makes that first stop the global argmax.
+is the first j where y stops increasing: y_{j+1} - y_j = (x_{j+1} - y_j)/(j+1)
+with x_k the binomial pmf, and unimodality of the pmf makes y unimodal, so
+the first descent is the global argmax and can be searched for instead of
+scanned.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from .contest import PrizeVector, expected_prize, make_simple_contest
 from .distributions import QualityDistribution, quantile
 from .errors import InvalidCost, OutOfRange, PopulationTooLarge
-from .numerics import bisect_decreasing
+from .numerics import bisect_decreasing, rank_cdf
 
 __all__ = [
     "ThresholdEquilibrium",
@@ -46,6 +46,8 @@ ZERO_PARTICIPATION = "zero_participation"
 
 _TIE_TOL = 1e-12
 _BISECT_STEPS = 60  # fixed-count vectorised bisection: 2^-60 < float resolution
+# rank counts probed per round of the first-descent search in optimal_prize_count
+_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,7 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     prize, ``full_participation`` when c is below the last prize, else None
     with residual |c(p) - c| <= 1e-10 * max(V, c).
     """
-    if c <= 0.0:
-        raise InvalidCost(f"participation cost must be positive, got {c!r}")
+    _check_scalars(c=c)
     v_top = contest.values[0]
     v_bottom = contest.values[-1]
     if c > v_top:
@@ -104,45 +105,55 @@ def equilibrium_threshold(
     return ThresholdEquilibrium(theta=theta, p=p, lam=contest.n * p, saturated=flag)
 
 
-def _pmf_terms(n: int, p: float, start: int, stop: int) -> np.ndarray:
-    """x_k = C(n-1, k-1) p^(k-1) (1-p)^(n-k) for k in [start, stop)."""
-    return stats.binom.pmf(np.arange(start - 1, stop - 1), n - 1, p)
+def _check_scalars(n: int | None = None, budget: float | None = None, c: float | None = None) -> None:
+    """The validation boundary for the scalar inputs of the homogeneous solvers."""
+    if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
+        raise OutOfRange(f"population size must be an integer >= 1, got {n!r}")
+    if budget is not None and not (math.isfinite(budget) and budget > 0.0):
+        raise OutOfRange(f"budget must be positive and finite, got {budget!r}")
+    if c is not None and not (math.isfinite(c) and c > 0.0):
+        raise InvalidCost(f"participation cost must be positive and finite, got {c!r}")
 
 
-def optimal_prize_count(n: int, p: float) -> int:
-    """argmax_j y_j(p), ties (within 1e-12) to the smallest j.
+def _frontier(n: int, p: float) -> tuple[int, float]:
+    """(j*, y_{j*}): the first descent of y_j = S_j(p) / j, or j* = n if y never descends.
 
-    Runs the running-average recurrence with early stop; pmf terms come in
-    blocks so the usual case touches only O(j*) terms.
+    Each round probes up to 64 rank counts of the bracket holding the first
+    descent and narrows it to the gap between two probes, so n <= 65 takes
+    one kernel call. y_j == 0 means the left tail has underflowed, not that y
+    has peaked; the tie tolerance is relative.
     """
     if not 0.0 < p < 1.0:
         raise OutOfRange(f"p must lie strictly in (0, 1), got {p!r}")
-    if n < 2:
-        return 1
-    y = 0.0
-    k = 0
-    block = 512
-    while k < n:
-        stop = min(n, k + block)
-        xs = _pmf_terms(n, p, k + 1, stop + 1)
-        for x in xs:
-            k += 1
-            if k == 1:
-                y = float(x)
-                continue
-            # x is x_k, the candidate (j+1)-th term with j = k-1; the tie
-            # tolerance is relative, and y == 0 means the left tail has
-            # underflowed, not that the average has peaked
-            if y > 0.0 and x <= y * (1.0 + _TIE_TOL):
-                return k - 1
-            y += (float(x) - y) / k
-    return n
+    lo, hi = 1, n  # the first descent lies in [lo, hi]; a descent at hi or hi = n
+    while lo < hi:
+        # spacing >= 1, so the truncated probes are distinct
+        js = np.linspace(lo, hi - 1, min(hi - lo, _PROBES)).astype(np.int64)
+        s = rank_cdf(n, np.concatenate([js, js + 1]), p)
+        y, y_next = s[: js.size] / js, s[js.size :] / (js + 1)
+        descent = (y > 0.0) & (y_next <= y * (1.0 + _TIE_TOL))
+        if not descent.any():
+            lo = int(js[-1]) + 1
+            continue
+        first = int(np.argmax(descent))
+        if first > 0:
+            lo = int(js[first - 1]) + 1
+        hi = int(js[first])
+        if lo == hi:
+            return hi, float(y[first])
+    return hi, float(rank_cdf(n, hi, p)) / hi
+
+
+def optimal_prize_count(n: int, p: float) -> int:
+    """argmax_j y_j(p), ties (within 1e-12 relative) to the smallest j."""
+    _check_scalars(n=n)
+    return _frontier(n, p)[0]
 
 
 def c_star(n: int, budget: float, p: float) -> float:
     """Largest cost supportable at participation rate p (the design frontier)."""
-    j = optimal_prize_count(n, p)
-    return (budget / j) * float(stats.binom.cdf(j - 1, n - 1, p))
+    _check_scalars(n=n, budget=budget)
+    return budget * _frontier(n, p)[1]
 
 
 def feasible(n: int, budget: float, c: float, p: float) -> bool:
@@ -155,19 +166,13 @@ def _simple_rates(n: int, budget: float, c: float, js: np.ndarray) -> np.ndarray
 
     Same bisection as participation_rate, run simultaneously across j with a
     fixed iteration count; used by the design scan where j ranges to V/c.
-    The binomial cdf goes through the regularised incomplete beta directly
-    (Pr[B(n-1, p) <= j-1] = I_{1-p}(n-j, j)), skipping the stats-layer
-    overhead that would otherwise dominate this loop; j = n has cdf 1.
     """
     lo = np.zeros(js.shape)
     hi = np.ones(js.shape)
     scale = budget / js
-    a = np.maximum(n - js, 1)
-    interior = js < n
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        cdf = np.where(interior, special.betainc(a, js, 1.0 - mid), 1.0)
-        above = scale * cdf > c
+        above = scale * rank_cdf(n, js, mid) > c
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
@@ -183,8 +188,7 @@ def optimal_contest(
     otherwise j* maximizes the per-j equilibrium participation over
     j = 1..min(n, floor(V/c)), smallest j on ties within 1e-12.
     """
-    if c <= 0.0:
-        raise InvalidCost(f"participation cost must be positive, got {c!r}")
+    _check_scalars(n=n, budget=budget, c=c)
     V = float(budget)
     if c <= V / n:
         contest = make_simple_contest(n, V, n)

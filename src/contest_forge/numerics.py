@@ -1,17 +1,21 @@
-"""Scalar numerics shared by the contest solvers.
+"""Numerics shared by the contest solvers.
 
 Conventions
 -----------
 * Binomial(n, p) counts successes among n independent trials; the pmf at k is
   C(n, k) p^k (1-p)^(n-k), zero outside 0 <= k <= n.
+* ``rank_cdf(n, js, p)`` is S_j(p) = Pr[Binomial(n-1, p) <= j-1], the chance
+  that an entrant who loses to each of n-1 opponents with probability p
+  finishes in the top j. Every expected-prize curve, the design frontier and
+  the cost breakpoints are built from it.
 * ``poisson_cdf_partial(lam, j)`` is the partial sum sum_{k=0}^{j-1}
   e^(-lam) lam^k / k!, i.e. Pr[Poisson(lam) < j].
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
-Everything here is scalar and deterministic. Vectorised binomial evaluations
-used by the hot solver loops live with their callers and are cross-checked
-against these scalar routines in the test suite.
+Everything here is deterministic. ``rank_cdf`` and ``binom_logpmf`` are the
+one vectorised binomial kernel that the solvers call; the scalar routines
+serve the bound audit and act as independent references in the test suite.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy import special
 
 from .errors import BracketFailure, IterationLimit, NonFinite
@@ -30,6 +35,8 @@ __all__ = [
     "log_binom_pmf",
     "binom_pmf",
     "binom_tail_geq",
+    "rank_cdf",
+    "binom_logpmf",
     "poisson_cdf_partial",
     "poisson_cdf_partial_deriv",
     "bisect_decreasing",
@@ -122,6 +129,42 @@ def binom_tail_geq(n: int, j: int, p: float) -> float:
     else:
         total = 1.0 - math.fsum(binom_pmf(n, k, p) for k in range(j))
     return min(1.0, max(0.0, total))
+
+
+def rank_cdf(n: int, js, p) -> np.ndarray:
+    """S_j(p) = Pr[Binomial(n-1, p) <= j-1] for integer rank counts j >= 1.
+
+    ``js`` and ``p`` broadcast against each other; the result is an array of
+    the broadcast shape (0-d for scalar inputs).
+
+    Uses the identity S_j(p) = I_{1-p}(n-j, j) with the regularised incomplete
+    beta function; S_j is exactly 1 for j >= n.
+    """
+    js = np.asarray(js)
+    # a = 1 stands in where j >= n; those entries are overwritten with 1
+    s = np.asarray(special.betainc(np.maximum(n - js, 1), js, 1.0 - np.asarray(p)))
+    np.copyto(s, 1.0, where=js >= n)
+    return s
+
+
+def binom_logpmf(n: int, ks, p) -> np.ndarray:
+    """log Pr[X = k] for X ~ Binomial(n, p), broadcast over ks and p; -inf outside 0 <= k <= n.
+
+    The formula of ``log_binom_pmf``: ``xlogy``/``xlog1py`` give 0 * log 0 = 0,
+    so p = 0 and p = 1 need no special case.
+    """
+    ks = np.asarray(ks)
+    p = np.asarray(p, dtype=float)
+    inside = (ks >= 0) & (ks <= n)
+    k = np.where(inside, ks, 0)
+    out = (
+        special.gammaln(n + 1.0)
+        - special.gammaln(k + 1.0)
+        - special.gammaln(n - k + 1.0)
+        + special.xlogy(k, p)
+        + special.xlog1py(n - k, -p)
+    )
+    return np.where(inside, out, -np.inf)
 
 
 def poisson_cdf_partial(lam: float, j: int) -> float:

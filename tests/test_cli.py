@@ -33,10 +33,15 @@ class TestDesign:
         assert code == 0
         assert json.loads(out)["j_star"] == 1
 
-    def test_negative_cost_exits_one(self, capsys):
-        code, out, err = run(capsys, ["design", "--n", "5", "--prize", "1", "--cost", "-1"])
+    @pytest.mark.parametrize(
+        "n, cost", [("5", "-1"), ("5", "nan"), ("5", "inf"), ("0", "0.4")],
+        ids=["negative_cost", "nan_cost", "inf_cost", "zero_population"],
+    )
+    def test_invalid_scalar_exits_one(self, capsys, n, cost):
+        code, out, err = run(capsys, ["design", "--n", n, "--prize", "1", "--cost", cost])
         assert code == 1
-        assert out == "" and "error" in err
+        assert out == "" and err.startswith("contest-forge: error:")
+        assert len(err.splitlines()) == 1
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -57,7 +62,16 @@ class TestCompstat:
         assert lines[0] == "j,p_j,c_j"
         assert lines[1] == "1,,1"
         assert lines[2] == "2,0.2,0.4096"
+        # the exact root is 0.66874030497642...
+        assert lines[5] == "5,0.668740304976,0.2"
         assert lines[-1] == "6,,0"
+
+    def test_large_n_table(self, capsys):
+        code, out, err = run(capsys, ["compstat", "--n", "200"])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 202
+        assert lines[2].startswith("2,0.005,")
 
     def test_n_one_exits_one(self, capsys):
         code, _, _ = run(capsys, ["compstat", "--n", "1"])
@@ -191,15 +205,6 @@ class TestPlumbing:
         code, out, _ = run(capsys, ["poisson", "--cost", "0.5", "--out", str(target)])
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["j_star"] == 1
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTEST_FORGE_THREADS", "banana")
-        code, _, err = run(capsys, ["poisson", "--cost", "0.5"])
-        assert code == 1 and "CONTEST_FORGE_THREADS" in err
-
-        monkeypatch.setenv("CONTEST_FORGE_THREADS", "4")
-        code, _, _ = run(capsys, ["poisson", "--cost", "0.5"])
-        assert code == 0
 
     def test_reruns_byte_identical(self, capsys):
         for argv in (

@@ -19,6 +19,7 @@ from contest_forge.contest import expected_prize, make_simple_contest
 from contest_forge.distributions import Uniform
 from contest_forge.errors import OutOfRange, ValidationError
 from contest_forge.homogeneous import optimal_contest
+from contest_forge.numerics import find_positive_root_sign_change
 
 
 class TestQPolynomial:
@@ -36,8 +37,18 @@ class TestQPolynomial:
 
 
 class TestBreakpoints:
+    def test_matches_q_polynomial_roots(self):
+        # the paper's route: the positive root r of Q_j, mapped by p = r/(1+r)
+        for n in range(2, 51):
+            table = breakpoints(n, 1.0)
+            for j, p_j, _ in table.entries:
+                root = find_positive_root_sign_change(
+                    lambda x: q_polynomial(n, j, x), 1.0 / (n - 1)
+                ).root
+                np.testing.assert_allclose(p_j, root / (1.0 + root), rtol=0, atol=1e-12)
+
     def test_p2_is_one_over_n(self):
-        for n in (3, 5, 10, 25, 50):
+        for n in (3, 5, 10, 25, 50, 200, 1000):
             table = breakpoints(n, 1.0)
             j, p2, _ = table.entries[0]
             assert j == 2
@@ -50,10 +61,13 @@ class TestBreakpoints:
         np.testing.assert_allclose(table.entries[1][1], 1.0 / 3.0, atol=1e-10)
 
     def test_strictly_decreasing_chain(self):
-        table = breakpoints(50, 1.0)
-        thresholds = table.thresholds()
-        assert thresholds[0] == 1.0 and thresholds[-1] == 0.0
-        assert np.all(np.diff(thresholds) < 0.0)
+        # n = 200 and 1000 lie beyond where the expanded Q_j overflows a float
+        for n in (50, 200, 1000):
+            table = breakpoints(n, 1.0)
+            assert len(table.entries) == n - 1
+            thresholds = table.thresholds()
+            assert thresholds[0] == 1.0 and thresholds[-1] == 0.0
+            assert np.all(np.diff(thresholds) < 0.0)
 
     def test_scales_with_budget(self):
         t1 = breakpoints(8, 1.0)
@@ -65,7 +79,7 @@ class TestBreakpoints:
 
     def test_wta_closed_form_boundary(self):
         # c_2 = V / (1 + 1/(n-1))^(n-1)
-        for n in (2, 5, 10, 100):
+        for n in (2, 5, 10, 100, 200, 1000):
             table = breakpoints(n, 1.0)
             c2 = table.entries[0][2]
             np.testing.assert_allclose(

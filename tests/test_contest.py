@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from contest_forge.contest import (
     PrizeVector,
@@ -96,17 +97,20 @@ class TestExpectedPrize:
         curve = expected_prize_curve(v, np.linspace(0, 1, 11))
         np.testing.assert_allclose(curve, 0.25, rtol=1e-12)
 
-    def test_two_routes_agree(self):
-        """Rank-probability dot product and the w-weighted running-average
-        form are independent evaluations of the same curve; neither may be
-        simplified into the other."""
+    def test_against_rank_probability_dot_product(self):
+        """Both routes evaluate the rank-gap mixture through one kernel, so each
+        is pinned to an independent sum_j v_j Pr[rank j] computed here."""
         rng = np.random.default_rng(11)
         ps = np.linspace(0.0, 1.0, 21)
         for _ in range(100):
-            v = random_contest(rng, int(rng.integers(2, 15)))
-            curve = expected_prize_curve(v, ps)
-            direct = np.array([expected_prize(v, p) for p in ps])
-            np.testing.assert_allclose(curve, direct, rtol=0, atol=1e-12)
+            n = int(rng.integers(2, 15))
+            v = random_contest(rng, n)
+            direct = np.array(
+                [np.dot(v.as_array(), stats.binom.pmf(np.arange(n), n - 1, p)) for p in ps]
+            )
+            np.testing.assert_allclose(expected_prize_curve(v, ps), direct, rtol=0, atol=1e-12)
+            scalar = np.array([expected_prize(v, p) for p in ps])
+            np.testing.assert_allclose(scalar, direct, rtol=0, atol=1e-12)
 
 
 class TestWTransform:

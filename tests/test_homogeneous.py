@@ -6,7 +6,12 @@ from scipy import stats
 
 from contest_forge.contest import PrizeVector, expected_prize, make_simple_contest
 from contest_forge.distributions import PiecewiseLinearCDF, Uniform, cdf
-from contest_forge.errors import InvalidCost, OutOfRange, PopulationTooLarge
+from contest_forge.errors import (
+    InvalidCost,
+    OutOfRange,
+    PopulationTooLarge,
+    ValidationError,
+)
 from contest_forge.homogeneous import (
     FULL_PARTICIPATION,
     ZERO_PARTICIPATION,
@@ -60,10 +65,9 @@ class TestParticipationRate:
 
     def test_rejects_nonpositive_cost(self):
         v = make_simple_contest(1, 1.0, 3)
-        with pytest.raises(InvalidCost):
-            participation_rate(v, 0.0)
-        with pytest.raises(InvalidCost):
-            participation_rate(v, -1.0)
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidCost):
+                participation_rate(v, c)
 
     def test_decreasing_in_cost(self):
         rng = np.random.default_rng(8)
@@ -131,6 +135,11 @@ class TestCStar:
                 v = random_contest(rng, 12, exhaust=True)
                 assert expected_prize(v, p) <= star + 1e-12
 
+    def test_rejects_bad_scalars(self):
+        for n, budget in ((0, 1.0), (-3, 1.0), (2.5, 1.0), (5, math.nan), (5, math.inf), (5, 0.0)):
+            with pytest.raises(ValidationError):
+                c_star(n, budget, 0.3)
+
     def test_decreasing_until_equal_split_floor(self):
         # strictly decreasing while above V/n; once the equal split is
         # optimal the frontier is pinned at exactly V/n for every p
@@ -187,8 +196,14 @@ class TestOptimalContest:
         assert res.equilibrium.saturated == ZERO_PARTICIPATION
 
     def test_rejects_nonpositive_cost(self):
-        with pytest.raises(InvalidCost):
-            optimal_contest(5, 1.0, 0.0, UNIFORM)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidCost):
+                optimal_contest(5, 1.0, c, UNIFORM)
+
+    def test_rejects_bad_population_and_budget(self):
+        for n, budget in ((0, 1.0), (-1, 1.0), (5, math.nan), (5, math.inf)):
+            with pytest.raises(ValidationError):
+                optimal_contest(n, budget, 0.4, UNIFORM)
 
 
 class TestBruteForce:

@@ -1,18 +1,25 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from contest_forge.errors import BracketFailure, IterationLimit, NonFinite
+import contest_forge
 from contest_forge.numerics import (
+    binom_logpmf,
     binom_pmf,
     binom_tail_geq,
     bisect_decreasing,
     find_positive_root_sign_change,
+    log_binom_pmf,
     log_factorial,
     poisson_cdf_partial,
     poisson_cdf_partial_deriv,
+    rank_cdf,
 )
 
 
@@ -82,6 +89,63 @@ class TestBinomTail:
     def test_whole_line(self):
         assert binom_tail_geq(9, 0, 0.4) == 1.0
         assert binom_tail_geq(9, 10, 0.4) == 0.0
+
+
+class TestRankCdf:
+    def test_matches_scipy_cdf(self):
+        rng = np.random.default_rng(42)
+        for n in (2, 7, 30, 31, 200, 5000):
+            js = np.arange(1, n + 1)
+            for p in (0.0, float(rng.uniform(0.01, 0.99)), 1.0 - 1e-9, 1.0):
+                np.testing.assert_allclose(
+                    rank_cdf(n, js, p),
+                    stats.binom.cdf(js - 1, n - 1, p),
+                    rtol=1e-12,
+                    atol=1e-300,
+                )
+
+    def test_top_n_is_certain(self):
+        # S_j = 1 exactly for j >= n, including p = 1 where the beta form is 0/0
+        for p in (0.0, 0.3, 1.0):
+            np.testing.assert_array_equal(rank_cdf(6, [6, 7, 40], p), 1.0)
+
+    def test_broadcasts_over_ranks_and_rates(self):
+        js = np.arange(1, 9)[:, None]
+        ps = np.linspace(0.0, 1.0, 5)
+        grid = rank_cdf(8, js, ps)
+        assert grid.shape == (8, 5)
+        for i, j in enumerate(js[:, 0]):
+            np.testing.assert_array_equal(grid[i], rank_cdf(8, j, ps))
+        assert rank_cdf(8, 3, 0.25).shape == ()
+
+
+class TestBinomLogpmf:
+    def test_matches_scalar_route(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 6, 45, 3000):
+            ks = np.arange(-1, n + 2)
+            for p in (0.0, float(rng.uniform(0.01, 0.99)), 1.0):
+                scalar = [log_binom_pmf(n, int(k), p) for k in ks]
+                np.testing.assert_allclose(binom_logpmf(n, ks, p), scalar, rtol=1e-12)
+
+    def test_matches_scipy_logpmf(self):
+        ks = np.arange(0, 301)
+        for p in (1e-3, 0.4, 0.999):
+            np.testing.assert_allclose(
+                binom_logpmf(300, ks, p), stats.binom.logpmf(ks, 300, p), rtol=1e-11
+            )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(contest_forge.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import contest_forge; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestPoissonPartial:
