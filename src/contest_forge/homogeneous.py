@@ -105,14 +105,17 @@ def equilibrium_threshold(
     return ThresholdEquilibrium(theta=theta, p=p, lam=contest.n * p, saturated=flag)
 
 
-def _check_scalars(n: int | None = None, budget: float | None = None, c: float | None = None) -> None:
+def _check_scalars(
+    n: int | None = None, budget: float | None = None, c: float | None = None
+) -> None:
     """The validation boundary for the scalar inputs of the homogeneous solvers."""
-    if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
+    integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if n is not None and not (integral and n >= 1):
         raise OutOfRange(f"population size must be an integer >= 1, got {n!r}")
-    if budget is not None and not (math.isfinite(budget) and budget > 0.0):
-        raise OutOfRange(f"budget must be positive and finite, got {budget!r}")
     if c is not None and not (math.isfinite(c) and c > 0.0):
         raise InvalidCost(f"participation cost must be positive and finite, got {c!r}")
+    if budget is not None and not (math.isfinite(budget) and budget > 0.0):
+        raise OutOfRange(f"budget must be positive and finite, got {budget!r}")
 
 
 def _frontier(n: int, p: float) -> tuple[int, float]:

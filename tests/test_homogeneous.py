@@ -136,7 +136,8 @@ class TestCStar:
                 assert expected_prize(v, p) <= star + 1e-12
 
     def test_rejects_bad_scalars(self):
-        for n, budget in ((0, 1.0), (-3, 1.0), (2.5, 1.0), (5, math.nan), (5, math.inf), (5, 0.0)):
+        bad = ((0, 1.0), (-3, 1.0), (2.5, 1.0), (5, math.nan), (5, math.inf), (5, 0.0))
+        for n, budget in bad:
             with pytest.raises(ValidationError):
                 c_star(n, budget, 0.3)
 

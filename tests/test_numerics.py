@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from contest_forge.errors import BracketFailure, IterationLimit, NonFinite
 import contest_forge
+from contest_forge.errors import BracketFailure, IterationLimit, NonFinite
 from contest_forge.numerics import (
     binom_logpmf,
     binom_pmf,
@@ -105,7 +105,7 @@ class TestRankCdf:
                 )
 
     def test_top_n_is_certain(self):
-        # S_j = 1 exactly for j >= n, including p = 1 where the beta form is 0/0
+        # S_j = 1 exactly for j >= n, also at p = 1, where betainc(0, j, 0) is 0
         for p in (0.0, 0.3, 1.0):
             np.testing.assert_array_equal(rank_cdf(6, [6, 7, 40], p), 1.0)
 
