@@ -33,9 +33,15 @@ class TestDesign:
         assert code == 0
         assert json.loads(out)["j_star"] == 1
 
+    def test_negative_cost_exits_one(self, capsys):
+        code, out, err = run(capsys, ["design", "--n", "5", "--prize", "1", "--cost", "-1"])
+        assert code == 1
+        assert out == "" and err.startswith("contest-forge: error:")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
-        "n, cost", [("5", "-1"), ("5", "nan"), ("5", "inf"), ("0", "0.4")],
-        ids=["negative_cost", "nan_cost", "inf_cost", "zero_population"],
+        "n, cost", [("5", "nan"), ("5", "inf"), ("0", "0.4")],
+        ids=["nan_cost", "inf_cost", "zero_population"],
     )
     def test_invalid_scalar_exits_one(self, capsys, n, cost):
         code, out, err = run(capsys, ["design", "--n", n, "--prize", "1", "--cost", cost])

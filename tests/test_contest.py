@@ -97,7 +97,7 @@ class TestExpectedPrize:
         curve = expected_prize_curve(v, np.linspace(0, 1, 11))
         np.testing.assert_allclose(curve, 0.25, rtol=1e-12)
 
-    def test_against_rank_probability_dot_product(self):
+    def test_two_routes_agree(self):
         """Both routes evaluate the rank-gap mixture through one kernel, so each
         is pinned to an independent sum_j v_j Pr[rank j] computed here."""
         rng = np.random.default_rng(11)
