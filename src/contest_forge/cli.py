@@ -310,7 +310,10 @@ def _build_parser() -> _Parser:
     approx.add_argument("--n", type=int, required=True)
     approx.add_argument("--prize", type=float, required=True)
     approx.add_argument("--m", type=int, default=400, help="discretization size")
-    approx.add_argument("--replicas", type=int, default=2000)
+    approx.add_argument(
+        "--replicas", type=int, default=2000,
+        help="ignored; objectives are exact (kept for compatibility)",
+    )
     approx.add_argument("--seed", type=int, default=0)
     _add_output_flags(approx, "json")
     approx.set_defaults(run=cmd_approx)
@@ -322,7 +325,10 @@ def _build_parser() -> _Parser:
     example.add_argument("--n", type=int, default=4000)
     example.add_argument("--eps", type=float, default=0.01)
     example.add_argument("--seed", type=int, default=0)
-    example.add_argument("--replicas", type=int, default=200)
+    example.add_argument(
+        "--replicas", type=int, default=200,
+        help="ignored; objectives are exact (kept for compatibility)",
+    )
     _add_output_flags(example, "json")
     example.set_defaults(run=cmd_example_obj)
 

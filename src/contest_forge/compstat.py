@@ -30,7 +30,7 @@ from scipy import special
 from .contest import make_simple_contest
 from .distributions import Uniform
 from .errors import OrderingViolation, OutOfRange, ValidationError
-from .homogeneous import optimal_contest, participation_rate
+from .homogeneous import _check_scalars, optimal_contest, participation_rate
 from .numerics import (
     binom_logpmf,
     binom_pmf,
@@ -136,6 +136,7 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     OrderingViolation if the resulting sequence is not strictly decreasing
     with gaps above 1e-12 * V.
     """
+    _check_scalars(n=n, budget=budget)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     js = np.arange(2, n + 1)
@@ -204,6 +205,7 @@ def poisson_limit(budget: float, c: float) -> PoissonLimit:
     lam = 0, so bisection applies; the reported j_star is the smallest
     argmax at the solution (ties within 1e-12).
     """
+    _check_scalars(budget=budget)
     if not 0.0 < c < budget:
         raise OutOfRange(f"need 0 < c < V = {budget}, got {c!r}")
     j_max = max(1, int(math.floor(budget / c + 1e-12)))

@@ -15,9 +15,12 @@ Participation profiles here are masks over the support of an
 :class:`~contest_forge.distributions.EmpiricalTypes`; the distinct-q
 invariant of that class is what makes strict rank comparisons safe.
 
-Monte Carlo objective estimates are bitwise reproducible for a fixed
-(seed, replicas, n): replicas are drawn and aggregated in index order from a
-single deterministic stream.
+Objectives of a profile on a finite support have a closed form
+(:func:`exact_objective`), which the experiments use. :func:`mc_objective`
+estimates them by simulation instead, for rules over continuous laws such as
+:class:`MedianRule` and as an independent check of the closed form; its
+estimates are bitwise reproducible for a fixed (seed, replicas, n): replicas
+are drawn and aggregated in index order from a single deterministic stream.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import (
     ProfileNotSubEquilibrium,
     ValidationError,
 )
+from .homogeneous import _check_scalars
 
 __all__ = [
     "ParticipationProfile",
@@ -66,6 +70,7 @@ __all__ = [
     "fosd_check",
     "rule_from_profile",
     "mc_objective",
+    "exact_objective",
     "median_subequilibrium",
     "highcost_subequilibrium",
     "wta_approx_experiment",
@@ -74,9 +79,6 @@ __all__ = [
 
 _IR_TOL = 1e-12
 _FOSD_TOL = 1e-12
-
-# one-sided 99% normal quantile, used for confidence margins in experiments
-Z_99 = 2.3263478740408408
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,14 +140,6 @@ class ObjectiveEstimate:
     std_error: float
     replicas: int
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "replicas": self.replicas,
-            "seed": self.seed,
-        }
 
 
 def _population(contest: PrizeVector, types: EmpiricalTypes) -> int:
@@ -362,6 +356,30 @@ def mc_objective(
     )
 
 
+def exact_objective(
+    types: EmpiricalTypes, profile: ParticipationProfile, n: int, objective
+) -> float:
+    """Exact expected output objective of n i.i.d. draws from the support.
+
+    A draw of point i outputs x_i = q_i if the profile includes i and 0
+    otherwise. ``objective`` is "max" or "sum". With the atoms sorted by x and
+    F_k the cumulative weight of the first k of them,
+    E[max] = sum_k x_k (F_k^n - F_{k-1}^n) (tied outputs telescope, and
+    negative q needs no special case); E[sum] = n sum_i w_i x_i.
+    """
+    _check_profile(types, profile)
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n!r}")
+    x = np.where(profile.mask, types.q, 0.0)
+    if objective == "sum":
+        return float(n * np.dot(types.w, x))
+    if objective != "max":
+        raise ValidationError(f"unknown objective {objective!r}")
+    order = np.argsort(x, kind="stable")
+    top_cdf = np.cumsum(types.w[order]) ** n
+    return float(np.dot(x[order], np.diff(top_cdf, prepend=0.0)))
+
+
 @dataclass(frozen=True)
 class MedianRule:
     """Enter iff q >= mu and c <= cost_cap; a winner-take-all sub-equilibrium.
@@ -429,11 +447,6 @@ def highcost_subequilibrium(
     return kept
 
 
-def _mc_seed(seed: int, tag: int) -> int:
-    # deterministic stream per (experiment seed, estimate index)
-    return (int(seed) * 1000003 + tag) % (2**63)
-
-
 def wta_approx_experiment(
     jd: RectMixture,
     n: int,
@@ -442,14 +455,17 @@ def wta_approx_experiment(
     replicas: int,
     seed,
 ) -> dict:
-    """Estimate how far winner-take-all falls below the best simple contest.
+    """Measure how far winner-take-all falls below the best simple contest.
 
-    Discretizes the joint law, computes the WTA equilibrium and its expected
-    maximum output W, then the same for every simple contest with at most
+    Discretizes the joint law (an EmpiricalTypes ``jd`` is used without
+    discretizing), computes the WTA equilibrium and its exact expected maximum
+    output W, then the same for every simple contest with at most
     V / min-cost prizes; the best of those, B, is a certified lower bound on
-    the optimum. Reports the ratio B / W and the check 3W >= B with a
-    one-sided 99% confidence margin.
+    the optimum. Reports the ratio B / W and the exact check 3W >= B.
+    ``seed`` drives the discretization only; ``replicas`` is accepted for
+    compatibility and does not affect the result.
     """
+    _check_scalars(n=n, budget=budget)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     seed = int(seed)
@@ -458,63 +474,41 @@ def wta_approx_experiment(
     else:
         types = discretize(jd, discretization, seed, n=n)
     min_cost = float(types.c.min())
-    if min_cost > 0.0:
-        j_cap = min(n, int(math.floor(budget / min_cost + 1e-12)))
-    else:
-        j_cap = n
-    j_cap = max(1, j_cap)
+    ratio_cap = budget / min_cost if min_cost > 0.0 else math.inf
+    j_cap = n if ratio_cap >= n else max(1, math.floor(ratio_cap + 1e-12))
 
     wta = make_simple_contest(1, budget, n)
     wta_bracket = equilibrium(wta, types)
-    w_est = mc_objective(
-        types,
-        rule_from_profile(types, wta_bracket.profile),
-        n,
-        "max",
-        replicas,
-        _mc_seed(seed, 0),
-    )
+    w_mean = exact_objective(types, wta_bracket.profile, n, "max")
 
     contests = []
     all_collapsed = wta_bracket.converged
     best_mean = -math.inf
     best_j = 1
-    best_se = 0.0
     for j in range(1, j_cap + 1):
         contest = make_simple_contest(j, budget, n)
         bracket = equilibrium(contest, types)
         all_collapsed = all_collapsed and bracket.converged
-        est = mc_objective(
-            types,
-            rule_from_profile(types, bracket.profile),
-            n,
-            "max",
-            replicas,
-            _mc_seed(seed, j),
-        )
+        mean = exact_objective(types, bracket.profile, n, "max")
         contests.append(
-            {"j": j, "converged": bracket.converged, "estimate": est.as_dict()}
+            {"j": j, "converged": bracket.converged, "estimate": {"mean": mean}}
         )
-        if est.mean > best_mean:
-            best_mean = est.mean
+        if mean > best_mean:
+            best_mean = mean
             best_j = j
-            best_se = est.std_error
 
-    ratio = best_mean / w_est.mean if w_est.mean > 0.0 else math.inf
-    margin = Z_99 * math.sqrt((3.0 * w_est.std_error) ** 2 + best_se**2)
-    three_w_ok = 3.0 * w_est.mean - best_mean >= -margin
+    ratio = best_mean / w_mean if w_mean > 0.0 else math.inf
     return {
         "n": n,
         "budget": budget,
         "discretization": discretization,
-        "wta": w_est.as_dict(),
+        "wta": {"mean": w_mean},
         "contests": contests,
         "best_j": best_j,
         "best": best_mean,
         "ratio": ratio,
         "checks": {
-            "three_w_geq_best": bool(three_w_ok),
-            "ci_margin": margin,
+            "three_w_geq_best": bool(3.0 * w_mean >= best_mean),
             "all_brackets_collapsed": bool(all_collapsed),
         },
     }
@@ -534,7 +528,11 @@ def example_obj(
     b. the spread contest's expected sum >= V/4;
     c. the spread contest's equilibrium contains no high-cost types;
     d. every tested top-heavy contest (v_1 >= 9V/10 - 1) keeps the expected
-       sum below V/4, with a one-sided 99% confidence margin.
+       sum below V/4.
+
+    Every objective is the exact expectation on the discretized support;
+    ``seed`` drives the discretization only, and ``replicas`` is accepted for
+    compatibility and does not affect the result.
     """
     if budget < 160.0:
         raise BudgetTooSmall(
@@ -555,26 +553,12 @@ def example_obj(
 
     wta = make_simple_contest(1, V, n)
     wta_bracket = equilibrium(wta, types)
-    wta_max = mc_objective(
-        types,
-        rule_from_profile(types, wta_bracket.profile),
-        n,
-        "max",
-        replicas,
-        _mc_seed(seed, 0),
-    )
+    wta_max = exact_objective(types, wta_bracket.profile, n, "max")
 
     j_mid = int(round(V / 2.0))
     spread = make_simple_contest(j_mid, V, n)
     spread_bracket = equilibrium(spread, types)
-    spread_sum = mc_objective(
-        types,
-        rule_from_profile(types, spread_bracket.profile),
-        n,
-        "sum",
-        replicas,
-        _mc_seed(seed, 1),
-    )
+    spread_sum = exact_objective(types, spread_bracket.profile, n, "sum")
     spread_high_count = int(
         np.sum(spread_bracket.profile.mask & (types.c > high_cost))
     )
@@ -603,24 +587,16 @@ def example_obj(
 
     top_heavy_rows = []
     all_below = True
-    for tag, contest in enumerate(top_heavy):
-        name, cv = contest
+    for name, cv in top_heavy:
         bracket = equilibrium(cv, types)
-        est = mc_objective(
-            types,
-            rule_from_profile(types, bracket.profile),
-            n,
-            "sum",
-            replicas,
-            _mc_seed(seed, 100 + tag),
-        )
-        below = est.mean + Z_99 * est.std_error < V / 4.0
+        total = exact_objective(types, bracket.profile, n, "sum")
+        below = total < V / 4.0
         all_below = all_below and below
         top_heavy_rows.append(
             {
                 "name": name,
                 "v1": cv.values[0],
-                "sum_estimate": est.as_dict(),
+                "sum_estimate": {"mean": total},
                 "below_quarter": bool(below),
             }
         )
@@ -629,16 +605,15 @@ def example_obj(
         "budget": V,
         "n": n,
         "eps": eps,
-        "replicas": replicas,
         "discretization": m,
-        "wta_max": wta_max.as_dict(),
+        "wta_max": {"mean": wta_max},
         "spread_j": j_mid,
-        "spread_sum": spread_sum.as_dict(),
+        "spread_sum": {"mean": spread_sum},
         "spread_high_participants": spread_high_count,
         "top_heavy": top_heavy_rows,
         "checks": {
-            "wta_max_exceeds_2": bool(wta_max.mean > 2.0),
-            "spread_sum_geq_quarter": bool(spread_sum.mean >= V / 4.0),
+            "wta_max_exceeds_2": bool(wta_max > 2.0),
+            "spread_sum_geq_quarter": bool(spread_sum >= V / 4.0),
             "spread_has_no_high_types": bool(spread_high_count == 0),
             "top_heavy_sum_below_quarter": bool(all_below),
         },

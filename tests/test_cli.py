@@ -200,6 +200,29 @@ class TestExampleObj:
         }
 
 
+class TestScalarBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compstat", "--n", "5", "--prize", "nan"],
+            ["compstat", "--n", "5", "--prize", "-1"],
+            ["poisson", "--prize", "inf", "--cost", "1"],
+            ["approx", "--dist", "DIST", "--n", "6", "--prize", "nan"],
+            ["approx", "--dist", "DIST", "--n", "6", "--prize", "inf"],
+        ],
+        ids=["compstat_nan_prize", "compstat_negative_prize", "poisson_inf_prize",
+             "approx_nan_prize", "approx_inf_prize"],
+    )
+    def test_invalid_scalar_exits_one(self, capsys, tmp_path, argv):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(RECT_DOC))
+        argv = [str(dist) if arg == "DIST" else arg for arg in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == "" and err.startswith("contest-forge: error:")
+        assert len(err.splitlines()) == 1
+
+
 class TestPlumbing:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, ["design", "--n", "5", "--prize", "1",

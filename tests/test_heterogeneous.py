@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from contest_forge.heterogeneous import (
     beat_probability,
     best_response,
     equilibrium,
+    exact_objective,
     example_obj,
     expected_payoff,
     fosd_check,
@@ -327,6 +329,67 @@ class TestMcObjective:
             mc_objective(TWO_POINT, rule, 2, ("top_k", 3), 10, 0)
 
 
+def brute_force_objective(types, profile, n, objective):
+    """Expectation by enumerating all m^n draws with their probabilities."""
+    x = np.where(profile.mask, types.q, 0.0)
+    total = 0.0
+    for draw in itertools.product(range(types.support_size), repeat=n):
+        outputs = [x[i] for i in draw]
+        value = max(outputs) if objective == "max" else sum(outputs)
+        total += math.prod(types.w[i] for i in draw) * value
+    return total
+
+
+class TestExactObjective:
+    @pytest.mark.parametrize("objective", ["max", "sum"])
+    def test_matches_enumeration(self, objective):
+        rng = np.random.default_rng(17)
+        for m, n in itertools.product(range(1, 5), range(1, 5)):
+            q = rng.uniform(0.1, 2.0, size=m)
+            q[0] = -0.7  # a negative-quality atom
+            if m >= 2:
+                q[1] = 0.0  # a zero-quality atom, tied with non-participants
+            w = rng.uniform(0.2, 1.0, size=m)
+            w /= w.sum()
+            w[-1] = 1.0 - w[:-1].sum()
+            types = EmpiricalTypes(q=q, c=np.full(m, 0.1), w=w, n=n)
+            profiles = [
+                ParticipationProfile.empty(m),
+                ParticipationProfile.full(m),
+                ParticipationProfile(np.arange(m) < 2),  # negative and zero q enter
+                ParticipationProfile(np.arange(m) >= 1),
+            ]
+            for profile in profiles:
+                want = brute_force_objective(types, profile, n, objective)
+                got = exact_objective(types, profile, n, objective)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_matches_monte_carlo_on_criterion_09_instance(self):
+        jd = RectMixture(
+            (
+                RectComponent(0.2, 0.9, 0.1, 0.4, 0.6),
+                RectComponent(0.5, 1.4, 0.2, 0.7, 0.4),
+            )
+        )
+        n = 50
+        types = discretize(jd, 400, 5, n=n)
+        profile = equilibrium(make_simple_contest(2, 1.0, n), types).profile
+        rule = rule_from_profile(types, profile)
+        for tag, objective in enumerate(("max", "sum")):
+            est = mc_objective(types, rule, n, objective, 10_000, 100 + tag)
+            exact = exact_objective(types, profile, n, objective)
+            assert abs(exact - est.mean) <= 4.0 * est.std_error, (objective, exact, est)
+
+    def test_gates(self):
+        full = ParticipationProfile.full(2)
+        with pytest.raises(ValidationError):
+            exact_objective(TWO_POINT, full, 2, ("top_k", 1))
+        with pytest.raises(ValidationError):
+            exact_objective(TWO_POINT, full, 0, "max")
+        with pytest.raises(ValidationError):
+            exact_objective(TWO_POINT, ParticipationProfile.full(3), 2, "max")
+
+
 class TestRuleFromProfile:
     def test_maps_support_points_to_mask(self):
         rng = np.random.default_rng(3)
@@ -414,6 +477,8 @@ class TestWtaApproxExperiment:
         jd = RectMixture((RectComponent(0.0, 1.0, 0.2, 0.9, 1.0),))
         report = wta_approx_experiment(jd, 5, 1.0, 40, 100, 2)
         assert {"wta", "contests", "ratio", "checks", "best_j"} <= report.keys()
+        assert report["wta"].keys() == {"mean"}
+        assert set(report["checks"]) == {"three_w_geq_best", "all_brackets_collapsed"}
         assert all({"j", "estimate"} <= row.keys() for row in report["contests"])
         js = [row["j"] for row in report["contests"]]
         assert js == sorted(js) and js[0] == 1
