@@ -14,9 +14,10 @@ log((j-1) pmf(j-1)) - log S_{j-1}(p) over p in (0, 1). The expanded
 polynomial overflows a float near n = 190; ``q_polynomial`` stays as the
 test reference. In the scaling limit
 (n -> infinity, lambda = n p fixed) binomial curves become Poisson ones and
-the design problem has a clean limit object, solved here by bisection. The
-bound_audit routine numerically spot-checks the inequalities the asymptotic
-analysis leans on.
+the design problem has a clean limit object: the rate of M^j inverts the
+Poisson curve in closed form, and the best j is found by the first-descent
+search of the finite design. The bound_audit routine numerically
+spot-checks the inequalities the asymptotic analysis leans on.
 """
 
 from __future__ import annotations
@@ -25,19 +26,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .contest import make_simple_contest
 from .distributions import Uniform
-from .errors import OrderingViolation, OutOfRange, ValidationError
+from .errors import (
+    OrderingViolation,
+    OutOfRange,
+    PopulationTooLarge,
+    ValidationError,
+)
 from .homogeneous import _check_scalars, optimal_contest, participation_rate
 from .numerics import (
     binom_logpmf,
     binom_pmf,
     binom_tail_geq,
-    bisect_decreasing,
+    first_descent,
     log_binom_pmf,
     poisson_cdf_partial,
+    poisson_cdf_partial_inv,
     rank_cdf,
 )
 
@@ -58,7 +64,8 @@ __all__ = [
     "bound_audit",
 ]
 
-_TIE_TOL = 1e-12
+# largest V/c that poisson_limit accepts
+MAX_POISSON_SCALE = 1e8
 # bisection steps for the breakpoint roots on (0, 1): 2^-64 < 1e-19 absolute
 _ROOT_STEPS = 64
 
@@ -194,35 +201,32 @@ def poisson_value(budget: float, j: int, lam: float) -> float:
     return (budget / j) * poisson_cdf_partial(lam, j)
 
 
-def _limit_curve(budget: float, js: np.ndarray, lam: float) -> np.ndarray:
-    return (budget / js) * special.gammaincc(js, lam)
-
-
 def poisson_limit(budget: float, c: float) -> PoissonLimit:
     """Solve max_{1 <= j <= V/c} (V/j) Pr[Poisson(lam) < j] = c for lam.
 
-    The upper envelope is continuous and strictly decreasing from V at
-    lam = 0, so bisection applies; the reported j_star is the smallest
-    argmax at the solution (ties within 1e-12).
+    Each curve falls from V/j at lam = 0, so M^j alone reaches c at
+    lam_j = Q^{-1}(j, c j / V) and the upper envelope reaches it at
+    lam* = max_j lam_j. As in the finite design, lam_j is unimodal in j, so
+    j_star is its first descent: the smallest argmax, ties within 1e-12
+    relative. V/c above 1e8, or not finite, raises PopulationTooLarge: past
+    it the steps of lam_j in j come near the tie tolerance and the search
+    stops matching a dense argmax.
     """
     _check_scalars(budget=budget)
     if not 0.0 < c < budget:
         raise OutOfRange(f"need 0 < c < V = {budget}, got {c!r}")
-    j_max = max(1, int(math.floor(budget / c + 1e-12)))
-    js = np.arange(1, j_max + 1)
-
-    def envelope(lam: float) -> float:
-        return float(_limit_curve(budget, js, lam).max())
-
-    # individual rationality caps lam at V/c, so the bracket below suffices
-    hi = budget / c + 1.0
-    tol = 1e-12 * max(budget, c)
-    sol = bisect_decreasing(envelope, c, 0.0, hi, tol)
-    lam = sol.root
-    values = _limit_curve(budget, js, lam)
-    best = float(values.max())
-    j_star = int(js[values >= best - _TIE_TOL][0])
-    return PoissonLimit(lambda_star=lam, j_star=j_star, value=best)
+    vc = budget / c
+    if not vc <= MAX_POISSON_SCALE:
+        raise PopulationTooLarge(
+            f"V/c = {vc!r} exceeds the largest supported scale {MAX_POISSON_SCALE:g}"
+        )
+    j_max = int(math.floor(vc + 1e-12))
+    j_star, lam = first_descent(
+        lambda js: poisson_cdf_partial_inv(js, c * js / budget), j_max
+    )
+    return PoissonLimit(
+        lambda_star=lam, j_star=j_star, value=poisson_value(budget, j_star, lam)
+    )
 
 
 def finite_to_limit_convergence(
@@ -256,14 +260,14 @@ def asymptotic_scan(c: float, vc_list, n_factor: float = 3.0) -> tuple[ScanRow, 
     and r_lambda = (vc - lambda*) / sqrt(vc * ln vc). The interesting content
     is that both stay order one; the audit band is a harness choice.
     """
-    if n_factor < 2.5:
-        raise ValidationError(f"n_factor must be >= 2.5, got {n_factor!r}")
+    if not (math.isfinite(n_factor) and n_factor >= 2.5):
+        raise ValidationError(f"n_factor must be finite and >= 2.5, got {n_factor!r}")
     qd = Uniform(0.0, 1.0)
     rows = []
     for vc in vc_list:
         vc = float(vc)
-        if vc < 20.0:
-            raise OutOfRange(f"scan scales must be >= 20, got {vc}")
+        if not (math.isfinite(vc) and vc >= 20.0):
+            raise OutOfRange(f"scan scales must be finite and >= 20, got {vc}")
         V = c * vc
         n = int(math.ceil(n_factor * vc))
         design = optimal_contest(n, V, c, qd)

@@ -133,6 +133,9 @@ class RectComponent:
     weight: float
 
     def __post_init__(self):
+        edges = (self.q_lo, self.q_hi, self.c_lo, self.c_hi, self.weight)
+        if not all(math.isfinite(x) for x in edges):
+            raise ValidationError(f"rectangle edges and weight must be finite, got {edges!r}")
         if self.q_lo < 0.0 or self.c_lo < 0.0:
             raise ValidationError("rectangle endpoints must be nonnegative")
         if self.q_hi < self.q_lo or self.c_hi < self.c_lo:
@@ -327,7 +330,10 @@ def discretize(
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m!r}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid seed {seed!r}: {exc}") from None
     if stratified:
         counts = _stratified_counts(jd._weight_array(), m)
         qs_parts, cs_parts = [], []

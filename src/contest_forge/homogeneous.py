@@ -14,6 +14,15 @@ is the first j where y stops increasing: y_{j+1} - y_j = (x_{j+1} - y_j)/(j+1)
 with x_k the binomial pmf, and unimodality of the pmf makes y unimodal, so
 the first descent is the global argmax and can be searched for instead of
 scanned.
+
+At a fixed cost c the design asks the dual question. The rate of M^j solves
+(V/j) S_j(p) = c, and the kernel inverts that in closed form
+(``numerics.rank_cdf_inv``). The curves of M^{j-1} and M^j cross once, at
+the breakpoint cost c_j, and the breakpoints are ordered c_2 > c_3 > ...
+(``compstat.breakpoints``). So M^j beats M^{j-1} exactly while c < c_j, and
+the rate p_j is unimodal in j: it rises up to the j with c in
+[c_{j+1}, c_j] and falls after. ``optimal_contest`` finds j* as the first
+descent of p_j, with the same search (``numerics.first_descent``) as y_j.
 """
 
 from __future__ import annotations
@@ -26,7 +35,13 @@ import numpy as np
 from .contest import PrizeVector, expected_prize, make_simple_contest
 from .distributions import QualityDistribution, quantile
 from .errors import InvalidCost, OutOfRange, PopulationTooLarge
-from .numerics import bisect_decreasing, rank_cdf
+from .numerics import (
+    _TIE_TOL,
+    bisect_decreasing,
+    first_descent,
+    rank_cdf,
+    rank_cdf_inv,
+)
 
 __all__ = [
     "ThresholdEquilibrium",
@@ -43,11 +58,6 @@ __all__ = [
 
 FULL_PARTICIPATION = "full_participation"
 ZERO_PARTICIPATION = "zero_participation"
-
-_TIE_TOL = 1e-12
-_BISECT_STEPS = 60  # fixed-count vectorised bisection: 2^-60 < float resolution
-# rank counts probed per round of the first-descent search in optimal_prize_count
-_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -119,32 +129,10 @@ def _check_scalars(
 
 
 def _frontier(n: int, p: float) -> tuple[int, float]:
-    """(j*, y_{j*}): the first descent of y_j = S_j(p) / j, or j* = n if y never descends.
-
-    Each round probes up to 64 rank counts of the bracket holding the first
-    descent and narrows it to the gap between two probes, so n <= 65 takes
-    one kernel call. y_j == 0 means the left tail has underflowed, not that y
-    has peaked; the tie tolerance is relative.
-    """
+    """(j*, y_{j*}): the first descent of y_j = S_j(p) / j, or j* = n if y never descends."""
     if not 0.0 < p < 1.0:
         raise OutOfRange(f"p must lie strictly in (0, 1), got {p!r}")
-    lo, hi = 1, n  # the first descent lies in [lo, hi]; a descent at hi or hi = n
-    while lo < hi:
-        # spacing >= 1, so the truncated probes are distinct
-        js = np.linspace(lo, hi - 1, min(hi - lo, _PROBES)).astype(np.int64)
-        s = rank_cdf(n, np.concatenate([js, js + 1]), p)
-        y, y_next = s[: js.size] / js, s[js.size :] / (js + 1)
-        descent = (y > 0.0) & (y_next <= y * (1.0 + _TIE_TOL))
-        if not descent.any():
-            lo = int(js[-1]) + 1
-            continue
-        first = int(np.argmax(descent))
-        if first > 0:
-            lo = int(js[first - 1]) + 1
-        hi = int(js[first])
-        if lo == hi:
-            return hi, float(y[first])
-    return hi, float(rank_cdf(n, hi, p)) / hi
+    return first_descent(lambda js: rank_cdf(n, js, p) / js, n)
 
 
 def optimal_prize_count(n: int, p: float) -> int:
@@ -164,23 +152,6 @@ def feasible(n: int, budget: float, c: float, p: float) -> bool:
     return c <= c_star(n, budget, p)
 
 
-def _simple_rates(n: int, budget: float, c: float, js: np.ndarray) -> np.ndarray:
-    """Vectorised equilibrium participation of the simple contests M^j at cost c.
-
-    Same bisection as participation_rate, run simultaneously across j with a
-    fixed iteration count; used by the design scan where j ranges to V/c.
-    """
-    lo = np.zeros(js.shape)
-    hi = np.ones(js.shape)
-    scale = budget / js
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        above = scale * rank_cdf(n, js, mid) > c
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def optimal_contest(
     n: int, budget: float, c: float, qd: QualityDistribution
 ) -> DesignResult:
@@ -189,7 +160,7 @@ def optimal_contest(
     Regimes: c <= V/n gives full participation with the equal split
     (j* = n); c >= V gives zero participation with winner-take-all (j* = 1);
     otherwise j* maximizes the per-j equilibrium participation over
-    j = 1..min(n, floor(V/c)), smallest j on ties within 1e-12.
+    j = 1..min(n, floor(V/c)), smallest j on ties within 1e-12 relative.
     """
     _check_scalars(n=n, budget=budget, c=c)
     V = float(budget)
@@ -207,14 +178,11 @@ def optimal_contest(
         return DesignResult(1, contest, eq, c_star_at_p=V)
 
     j_max = min(n, int(math.floor(V / c + 1e-12)))
-    js = np.arange(1, j_max + 1)
-    rates = _simple_rates(n, V, c, js)
-    best = float(rates.max())
-    j_star = int(js[rates >= best - _TIE_TOL][0])
+    # M^j's rate solves (V/j) S_j(p) = c; p_j is unimodal in j (the
+    # breakpoints are ordered), so its first descent is the smallest argmax
+    j_star, p = first_descent(lambda js: rank_cdf_inv(n, js, c * js / V), j_max)
     contest = make_simple_contest(j_star, V, n)
-    # the scan already solved the winner's equilibrium; the fixed-count
-    # bisection leaves p strictly inside (0, 1), so no saturation flag
-    p = float(rates[j_star - 1])
+    # V/n < c < V keeps the winner's rate strictly inside (0, 1), so no flag
     eq = ThresholdEquilibrium(
         theta=quantile(qd, 1.0 - p), p=p, lam=n * p, saturated=None
     )

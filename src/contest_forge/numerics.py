@@ -10,6 +10,12 @@ Conventions
   the cost breakpoints are built from it.
 * ``poisson_cdf_partial(lam, j)`` is the partial sum sum_{k=0}^{j-1}
   e^(-lam) lam^k / k!, i.e. Pr[Poisson(lam) < j].
+* ``rank_cdf_inv`` and ``poisson_cdf_partial_inv`` invert the two curves in
+  their rate argument. Both curves fall from 1 to 0, so (V/j) times either
+  one equals a cost c at the rate the inverse returns for s = c j / V: this
+  is the equilibrium rate of the simple contest M^j, in closed form.
+* ``first_descent`` finds the first j at which a sequence stops increasing,
+  the argmax of a unimodal sequence, without evaluating all of it.
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
@@ -36,8 +42,11 @@ __all__ = [
     "binom_pmf",
     "binom_tail_geq",
     "rank_cdf",
+    "rank_cdf_inv",
     "binom_logpmf",
     "poisson_cdf_partial",
+    "poisson_cdf_partial_inv",
+    "first_descent",
     "poisson_cdf_partial_deriv",
     "bisect_decreasing",
     "find_positive_root_sign_change",
@@ -50,6 +59,10 @@ _LOG_SPACE_THRESHOLD = 30
 _MAX_BISECT_ITER = 200
 _MAX_DOUBLINGS = 128
 _REL_ROOT_TOL = 1e-12
+# relative tolerance under which first_descent treats a step as a tie
+_TIE_TOL = 1e-12
+# indices probed per round of first_descent
+_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -147,6 +160,22 @@ def rank_cdf(n: int, js, p) -> np.ndarray:
     return s
 
 
+def rank_cdf_inv(n: int, js, s) -> np.ndarray:
+    """The largest p in [0, 1] with S_j(p) >= s, or 0 when there is none.
+
+    ``js`` and ``s`` broadcast against each other. For 1 <= j < n, S_j falls
+    from 1 to 0 and p solves S_j(p) = s: 1 - S_j(p) = I_p(j, n-j), so
+    p = ``special.betainccinv``(j, n-j, s), which keeps its relative accuracy
+    where p underflows 1 - p (``1 - betaincinv`` would round it to 0). S_j is
+    1 for j >= n, so p is 1 there unless s > 1.
+    """
+    js = np.asarray(js)
+    s = np.asarray(s, dtype=float)
+    # b = 1 stands in where j >= n; those entries are overwritten with 1
+    p = special.betainccinv(js, np.maximum(n - js, 1), np.clip(s, 0.0, 1.0))
+    return np.where(s > 1.0, 0.0, np.where(js >= n, 1.0, p))
+
+
 def binom_logpmf(n: int, ks, p) -> np.ndarray:
     """log Pr[X = k] for X ~ Binomial(n, p), broadcast over ks and p; -inf outside 0 <= k <= n.
 
@@ -178,6 +207,17 @@ def poisson_cdf_partial(lam: float, j: int) -> float:
     return float(special.gammaincc(j, lam))
 
 
+def poisson_cdf_partial_inv(js, s) -> np.ndarray:
+    """The lam >= 0 with Pr[Poisson(lam) < j] = s, broadcast over ``js`` and ``s``.
+
+    The partial sum is Q(j, lam), which falls from 1 at lam = 0 to 0 at
+    infinity, so lam = ``special.gammainccinv``(j, s): s >= 1 gives 0 and
+    s = 0 gives inf.
+    """
+    s = np.asarray(s, dtype=float)
+    return special.gammainccinv(js, np.clip(s, 0.0, 1.0))
+
+
 def poisson_cdf_partial_deriv(lam: float, j: int) -> float:
     """d/dlam of ``poisson_cdf_partial``: the sum telescopes to a single term."""
     if j < 1:
@@ -188,6 +228,37 @@ def poisson_cdf_partial_deriv(lam: float, j: int) -> float:
         return -1.0 if j == 1 else 0.0
     log_term = -lam + (j - 1) * math.log(lam) - log_factorial(j - 1)
     return -math.exp(log_term)
+
+
+def first_descent(
+    f: Callable[[np.ndarray], np.ndarray], hi: int
+) -> tuple[int, float]:
+    """(j, f(j)) for the first j in [1, hi] with f(j) > 0 and f(j+1) <= f(j) (1 + 1e-12).
+
+    Returns j = hi when f never descends. ``f`` maps an integer array of
+    indices in [1, hi] to the values there. For a unimodal f the first
+    descent is the smallest argmax (ties within 1e-12 relative), so it is
+    searched for instead of scanned: each round probes up to 64 indices of
+    the bracket holding it and narrows the bracket to the gap between two
+    probes, so hi <= 65 takes one call of f. f(j) == 0 means a left tail has
+    underflowed, not that f has peaked.
+    """
+    lo = 1  # the first descent lies in [lo, hi]
+    while lo < hi:
+        # spacing >= 1, so the truncated probes are distinct
+        js = np.linspace(lo, hi - 1, min(hi - lo, _PROBES)).astype(np.int64)
+        values = f(np.concatenate([js, js + 1]))
+        y, y_next = values[: js.size], values[js.size :]
+        descent = (y > 0.0) & (y_next <= y * (1.0 + _TIE_TOL))
+        if not descent.any():  # the last probe is hi - 1, so f peaks at hi
+            return hi, float(y_next[-1])
+        first = int(np.argmax(descent))
+        if first > 0:
+            lo = int(js[first - 1]) + 1
+        hi = int(js[first])
+        if lo == hi:
+            return hi, float(y[first])
+    return hi, float(f(np.array([hi]))[0])
 
 
 def bisect_decreasing(

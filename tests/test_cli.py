@@ -223,6 +223,41 @@ class TestScalarBoundary:
         assert len(err.splitlines()) == 1
 
 
+RECT_INF_DOC = {
+    "kind": "rect_mixture",
+    "components": [{"q": [0.0, "inf"], "c": [0.05, 0.3], "weight": 1.0}],
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--dist", "DIST", "--n", "6", "--prize", "1", "--seed", "-1"],
+            ["example-obj", "--seed", "-1"],
+            ["hetero-eq", "--dist", "DIST", "--contest", "CONTEST", "--n", "6",
+             "--seed", "-1"],
+            ["scan", "--vc-min", "100", "--vc-max", "100", "--n-factor", "nan"],
+            ["scan", "--vc-min", "inf", "--vc-max", "inf"],
+            ["poisson", "--prize", "1e300", "--cost", "1e-300"],
+            ["approx", "--dist", "INF_DIST", "--n", "6", "--prize", "1"],
+        ],
+        ids=["approx_negative_seed", "example_obj_negative_seed",
+             "hetero_eq_negative_seed", "scan_nan_n_factor", "scan_inf_scale",
+             "poisson_overflowing_scale", "rect_inf_edge"],
+    )
+    def test_rejected_with_one_line(self, capsys, tmp_path, argv):
+        files = {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC, "INF_DIST": RECT_INF_DOC}
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == "" and err.startswith("contest-forge: error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestPlumbing:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, ["design", "--n", "5", "--prize", "1",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from contest_forge.compstat import (
     asymptotic_scan,
@@ -17,9 +18,27 @@ from contest_forge.compstat import (
 )
 from contest_forge.contest import expected_prize, make_simple_contest
 from contest_forge.distributions import Uniform
-from contest_forge.errors import OutOfRange, ValidationError
+from contest_forge.errors import OutOfRange, PopulationTooLarge, ValidationError
 from contest_forge.homogeneous import optimal_contest
-from contest_forge.numerics import find_positive_root_sign_change
+from contest_forge.numerics import (
+    bisect_decreasing,
+    find_positive_root_sign_change,
+    poisson_cdf_partial_inv,
+)
+
+
+def bisected_poisson_limit(budget, c):
+    """(lam*, j*, value) by bisecting the upper envelope of the limit curves,
+    the route poisson_limit took before the closed-form inverse."""
+    js = np.arange(1, max(1, int(math.floor(budget / c + 1e-12))) + 1)
+
+    def envelope(lam):
+        return float(((budget / js) * special.gammaincc(js, lam)).max())
+
+    lam = bisect_decreasing(envelope, c, 0.0, budget / c + 1.0, 1e-12 * max(budget, c)).root
+    values = (budget / js) * special.gammaincc(js, lam)
+    j_star = int(js[values >= values.max() - 1e-12][0])
+    return lam, j_star, float(values.max())
 
 
 class TestQPolynomial:
@@ -146,6 +165,35 @@ class TestPoissonLimit:
         with pytest.raises(OutOfRange):
             poisson_limit(1.0, 0.0)
 
+    def test_matches_envelope_bisection(self):
+        rng = np.random.default_rng(12)
+        scales = np.concatenate(
+            [np.geomspace(1.0001, 4000.0, 150), rng.uniform(1.0001, 3000.0, 150), [2.0, 5.0]]
+        )
+        for vc in scales:
+            for budget in (1.0, float(vc)):
+                c = budget / vc
+                limit = poisson_limit(budget, c)
+                lam, j_star, _ = bisected_poisson_limit(budget, c)
+                assert limit.j_star == j_star, (budget, c)
+                np.testing.assert_allclose(limit.lambda_star, lam, rtol=1e-8)
+                assert abs(limit.value - c) <= 1e-12 * max(budget, c)
+
+    def test_first_descent_is_the_argmax_of_every_rate(self):
+        rng = np.random.default_rng(13)
+        for vc in rng.uniform(1.0001, 20000.0, 200):
+            limit = poisson_limit(float(vc), 1.0)
+            js = np.arange(1, int(math.floor(vc + 1e-12)) + 1)
+            lams = poisson_cdf_partial_inv(js, js / vc)
+            assert limit.j_star == int(np.argmax(lams)) + 1, vc
+            assert limit.lambda_star == lams.max()
+
+    def test_scale_gate(self):
+        poisson_limit(1e8, 1.0)
+        for budget, c in ((1e300, 1e-300), (1e9, 1.0)):
+            with pytest.raises(PopulationTooLarge):
+                poisson_limit(budget, c)
+
     def test_matches_binomial_at_large_n(self):
         # c_{M^j}(lambda/n) -> poisson_value(V, j, lambda)
         n = 10**6
@@ -176,6 +224,12 @@ class TestAsymptoticScan:
             asymptotic_scan(1.0, [10.0])
         with pytest.raises(ValidationError):
             asymptotic_scan(1.0, [100.0], n_factor=2.0)
+
+    def test_rejects_non_finite_inputs(self):
+        for vc_list, n_factor in (([100.0], math.nan), ([100.0], math.inf),
+                                  ([math.inf], 3.0), ([math.nan], 3.0)):
+            with pytest.raises(ValidationError):
+                asymptotic_scan(1.0, vc_list, n_factor=n_factor)
 
 
 class TestBoundAudit:

@@ -73,6 +73,15 @@ class TestRectMixture:
         with pytest.raises(ValidationError):
             RectComponent(-0.1, 1.0, 0.0, 1.0, 1.0)
 
+    def test_rejects_non_finite_edges_and_weight(self):
+        good = (0.0, 1.0, 0.0, 1.0, 1.0)
+        for k in range(5):
+            for bad in (math.inf, math.nan):
+                args = list(good)
+                args[k] = bad
+                with pytest.raises(ValidationError):
+                    RectComponent(*args)
+
 
 class TestEmpiricalTypes:
     def test_validation(self):
@@ -186,6 +195,13 @@ class TestDiscretize:
         jd = two_cluster()
         t = discretize(jd, 200, seed=3, stratified=False)
         assert t.support_size == 200
+
+
+    def test_rejects_negative_seed(self):
+        jd = RectMixture((RectComponent(0.0, 1.0, 0.0, 0.4, 1.0),))
+        for seed in (-1, [3, -2]):
+            with pytest.raises(ValidationError):
+                discretize(jd, 10, seed)
 
 
 class TestSerialization:

@@ -23,6 +23,7 @@ from contest_forge.homogeneous import (
     optimal_prize_count,
     participation_rate,
 )
+from contest_forge.numerics import rank_cdf, rank_cdf_inv
 from test_contest import random_contest
 
 UNIFORM = Uniform(0.0, 1.0)
@@ -154,6 +155,85 @@ class TestCStar:
     def test_feasible(self):
         assert feasible(5, 1.0, 0.40, 0.2)
         assert not feasible(5, 1.0, 0.41, 0.2)
+
+
+def scan_simple_rates(n, budget, c, js):
+    """The 60-step vectorised bisection that found each rate of M^j before the
+    closed-form inverse; ``c`` may be a column to solve several costs at once."""
+    shape = np.broadcast_shapes(np.shape(js), np.shape(c))
+    lo = np.zeros(shape)
+    hi = np.ones(shape)
+    scale = budget / js
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = scale * rank_cdf(n, js, mid) > c
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def scan_design(n, budget, c):
+    """(j*, p) of the interior design by the full 60-step scan over j <= V/c."""
+    j_max = min(n, int(math.floor(budget / c + 1e-12)))
+    js = np.arange(1, j_max + 1)
+    rates = scan_simple_rates(n, budget, c, js)
+    j_star = int(js[rates >= rates.max() - 1e-12][0])
+    return j_star, float(rates[j_star - 1])
+
+
+def assert_design_matches(res, n, budget, c, j_ref, p_ref):
+    assert res.j_star == j_ref, (n, budget, c)
+    assert abs(res.equilibrium.p - p_ref) <= 1e-12, (n, budget, c)
+    resid = abs(expected_prize(res.contest, res.equilibrium.p) - c)
+    assert resid <= 1e-10 * max(budget, c), (n, budget, c)
+
+
+class TestDesignAgainstScan:
+    def test_acceptance_breakpoint_inputs(self):
+        # the 4900 (n, c) pairs that acceptance criterion 03 classifies
+        rng = np.random.default_rng(42)
+        for n in range(2, 51):
+            cs = np.array([rng.uniform(1e-3, 0.999) for _ in range(100)])
+            js = np.arange(1, n + 1)
+            rates = scan_simple_rates(n, 1.0, cs[:, None], js)
+            for c, row in zip(cs, rates):
+                res = optimal_contest(n, 1.0, float(c), UNIFORM)
+                if c <= 1.0 / n:
+                    assert res.j_star == n and res.equilibrium.p == 1.0
+                    continue
+                row = row[: min(n, int(math.floor(1.0 / c + 1e-12)))]
+                j_ref = int(np.flatnonzero(row >= row.max() - 1e-12)[0]) + 1
+                assert_design_matches(res, n, 1.0, c, j_ref, row[j_ref - 1])
+
+    @pytest.mark.parametrize("vc", [50.0, 137.5, 420.0, 2000.0])
+    def test_scale_table_sizes(self, vc):
+        # the large design of the scale tables: n = ceil(3 V/c), c = 1
+        n = math.ceil(3.0 * vc)
+        res = optimal_contest(n, vc, 1.0, UNIFORM)
+        assert_design_matches(res, n, vc, 1.0, *scan_design(n, vc, 1.0))
+
+    def test_first_descent_is_the_argmax_of_every_rate(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 3001))
+            c = 1.0 / float(rng.uniform(1.0, 1.2 * n))
+            res = optimal_contest(n, 1.0, c, UNIFORM)
+            if c <= 1.0 / n:
+                continue
+            js = np.arange(1, min(n, int(math.floor(1.0 / c + 1e-12))) + 1)
+            rates = rank_cdf_inv(n, js, c * js)
+            assert res.j_star == int(np.argmax(rates)) + 1, (n, c)
+            assert res.equilibrium.p == rates.max()
+
+    def test_deep_tail_rate(self):
+        # winner-take-all at c just below V: (1 - p)^(n-1) = c/V; scan_design
+        # gives 5.59e-17 here, 24 times the exact rate
+        c = float(np.nextafter(1.0, 0.0))
+        res = optimal_contest(50, 1.0, c, UNIFORM)
+        exact = -math.expm1(math.log(c) / 49)
+        assert res.j_star == 1
+        assert exact == pytest.approx(2.2657612747452172e-18, rel=1e-12)
+        np.testing.assert_allclose(res.equilibrium.p, exact, rtol=1e-12)
 
 
 class TestOptimalContest:

@@ -15,11 +15,14 @@ from contest_forge.numerics import (
     binom_tail_geq,
     bisect_decreasing,
     find_positive_root_sign_change,
+    first_descent,
     log_binom_pmf,
     log_factorial,
     poisson_cdf_partial,
     poisson_cdf_partial_deriv,
+    poisson_cdf_partial_inv,
     rank_cdf,
+    rank_cdf_inv,
 )
 
 
@@ -119,6 +122,48 @@ class TestRankCdf:
         assert rank_cdf(8, 3, 0.25).shape == ()
 
 
+class TestRankCdfInv:
+    def test_round_trip(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(2, 3001))
+            j = int(rng.integers(1, n))
+            s = float(rng.uniform(0.0, 1.0))
+            p = float(rank_cdf_inv(n, j, s))
+            assert 0.0 <= p <= 1.0
+            assert abs(float(rank_cdf(n, j, p)) - s) <= 1e-12
+
+    def test_solves_the_scipy_stats_cdf(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 500))
+            j = int(rng.integers(1, n))
+            s = float(rng.uniform(0.0, 1.0))
+            p = float(rank_cdf_inv(n, j, s))
+            assert abs(stats.binom.cdf(j - 1, n - 1, p) - s) <= 1e-12
+
+    def test_deep_tail_keeps_relative_accuracy(self):
+        # S_1(p) = (1-p)^(n-1), so p = -expm1(log(s)/(n-1)) exactly
+        s = np.nextafter(1.0, 0.0)
+        exact = -math.expm1(math.log(s) / 49)
+        np.testing.assert_allclose(rank_cdf_inv(50, 1, s), exact, rtol=1e-12)
+        assert exact == pytest.approx(2.2657612747452172e-18, rel=1e-12)
+
+    def test_edges(self):
+        # no p reaches s > 1; S_j(0) = 1 and S_j(1) = 0 for j < n; S_j = 1 for j >= n
+        np.testing.assert_array_equal(
+            rank_cdf_inv(5, [1, 3, 5, 5, 3, 3], [1.5, 1.0, 1.0, 1.5, 0.0, -0.5]),
+            [0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+        )
+
+    def test_broadcasts_over_ranks_and_targets(self):
+        js = np.arange(1, 8)[:, None]
+        s = np.array([0.1, 0.5, 0.9])
+        out = rank_cdf_inv(8, js, s)
+        assert out.shape == (7, 3)
+        np.testing.assert_allclose(rank_cdf(8, js, out), np.broadcast_to(s, (7, 3)), atol=1e-13)
+
+
 class TestBinomLogpmf:
     def test_matches_scalar_route(self):
         rng = np.random.default_rng(3)
@@ -174,6 +219,72 @@ class TestPoissonPartial:
         assert poisson_cdf_partial(0.0, 3) == 1.0
         assert poisson_cdf_partial_deriv(0.0, 1) == -1.0
         assert poisson_cdf_partial_deriv(0.0, 2) == 0.0
+
+
+class TestPoissonPartialInv:
+    def test_round_trip(self):
+        for j in (1, 2, 7, 40, 1000):
+            for s in (1e-12, 0.01, 0.5, 0.99):
+                lam = float(poisson_cdf_partial_inv(j, s))
+                np.testing.assert_allclose(poisson_cdf_partial(lam, j), s, rtol=1e-10)
+
+    def test_winner_take_all_closed_form(self):
+        # Pr[Poisson(lam) < 1] = e^-lam
+        for s in (0.5, 1e-3, np.nextafter(1.0, 0.0)):
+            np.testing.assert_allclose(poisson_cdf_partial_inv(1, s), -math.log(s), rtol=1e-12)
+
+    def test_edges(self):
+        np.testing.assert_array_equal(
+            poisson_cdf_partial_inv([3, 3, 3], [1.0, 1.5, 0.0]), [0.0, 0.0, np.inf]
+        )
+
+
+class TestFirstDescent:
+    @staticmethod
+    def counted(values):
+        calls = []
+
+        def f(js):
+            calls.append(js.size)
+            return np.asarray(values)[js - 1]
+
+        return f, calls
+
+    def test_matches_argmax_on_unimodal_sequences(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            hi = int(rng.integers(1, 5000))
+            peak = int(rng.integers(1, hi + 1))
+            js = np.arange(1, hi + 1)
+            values = np.exp(-((js - peak) / rng.uniform(0.5, 300.0)) ** 2)
+            f, _ = self.counted(values)
+            j, y = first_descent(f, hi)
+            assert j == int(np.argmax(values)) + 1 and y == values.max()
+
+    def test_ties_go_to_the_smallest_index(self):
+        values = [1.0, 2.0, 2.0 * (1 + 5e-13), 3.0, 0.5]
+        assert first_descent(self.counted(values)[0], 5) == (2, 2.0)
+
+    def test_never_descending_returns_hi(self):
+        values = np.arange(1.0, 101.0)
+        assert first_descent(self.counted(values)[0], 100) == (100, 100.0)
+        assert first_descent(self.counted([4.0])[0], 1) == (1, 4.0)
+
+    def test_leading_zeros_are_not_a_peak(self):
+        values = [0.0] * 80 + [1.0, 2.0, 1.0] + [0.0] * 20
+        assert first_descent(self.counted(values)[0], len(values)) == (82, 2.0)
+
+    def test_probe_budget(self):
+        # one call of f up to 65 indices, peaked or not; O(log hi) calls beyond
+        for values in (np.arange(1.0, 66.0), 100.0 - np.abs(np.arange(1, 66) - 30.0)):
+            f, calls = self.counted(values)
+            first_descent(f, 65)
+            assert calls == [128]
+        hi = 10**6
+        values = 1e7 - np.abs(np.arange(1, hi + 1) - 777_777.0)
+        f, calls = self.counted(values)
+        assert first_descent(f, hi)[0] == 777_777
+        assert len(calls) <= 5 and max(calls) <= 128
 
 
 class TestBisectDecreasing:
