@@ -1,13 +1,14 @@
 """
-Heterogeneous types: equilibrium brackets and stochastic dominance
-==================================================================
+Heterogeneous types: the quality-order equilibrium and stochastic dominance
+===========================================================================
 
 Types are now (quality, cost) pairs from a joint law with no structure
 assumed between the two coordinates. Participation sets are no longer
-intervals, but best responses are antitone: more rivals in, fewer want
-to join. Iterating best responses from the empty and full profiles traps
-every equilibrium between a lower and an upper profile; when the two
-meet, that profile is the equilibrium.
+intervals, but an entrant's chance of being beaten depends only on the
+entrants of higher quality. Deciding the support points from the top
+quality down therefore fixes the unique equilibrium, and since more rivals
+in means a smaller expected prize, a point that cannot afford to enter at
+some stage never can later. The solver batches this into a few sweeps.
 """
 
 import numpy as np
@@ -35,9 +36,9 @@ n = 8
 types = discretize(jd, 200, seed=1, n=n)
 contest = make_simple_contest(3, 1.0, n)
 
-bracket = equilibrium(contest, types)
-print(f"bracket collapsed: {bracket.converged} after {bracket.iterations} iterations")
-eq = bracket.profile
+solved = equilibrium(contest, types)
+print(f"equilibrium found in {solved.iterations} sweep rounds")
+eq = solved.profile
 print(f"equilibrium: {eq.count} of {types.support_size} support points enter, "
       f"mass = {float(types.w[eq.mask].sum()):.3f}")
 

@@ -293,7 +293,7 @@ def _build_parser() -> _Parser:
     scan.set_defaults(run=cmd_scan)
 
     hetero = commands.add_parser(
-        "hetero-eq", help="equilibrium bracket for joint (quality, cost) types"
+        "hetero-eq", help="equilibrium for joint (quality, cost) types"
     )
     hetero.add_argument("--dist", required=True, help="type distribution JSON")
     hetero.add_argument("--contest", required=True, help="contest JSON")

@@ -167,11 +167,30 @@ def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
 
     Evaluates the rank-gap mixture sum_{w_j > 0} (w_j / j) * S_j(p) in one
     kernel call over every (j, p) pair, so simple contests cost one binomial
-    cdf evaluation per p.
+    cdf evaluation per p. The mixture is one ``np.dot`` over the flattened
+    points, the product ``np.tensordot`` would form, without its overhead.
     """
     ps = np.asarray(ps, dtype=float)
     js, coef = contest._mixture
-    return np.tensordot(coef, rank_cdf(contest.n, js.reshape(-1, *(1,) * ps.ndim), ps), axes=1)
+    s = rank_cdf(contest.n, js.reshape(-1, *(1,) * ps.ndim), ps)
+    return np.dot(coef, s.reshape(len(coef), -1)).reshape(ps.shape)
+
+
+def _prize_curve_lanes(
+    contest: PrizeVector, ps: np.ndarray, lanes: np.ndarray, width: int
+) -> np.ndarray:
+    """``expected_prize_curve(contest, full)[lanes]`` for any ``full`` of length
+    ``width`` with ``full[lanes] = ps``, bit for bit, at the kernel cost of
+    ``len(ps)`` points.
+
+    The BLAS dot rounds each output by its position in the batch, so a shorter
+    batch can differ from the full one in the last bit. Zero columns keep every
+    value at its own position.
+    """
+    js, coef = contest._mixture
+    s = np.zeros((len(coef), width))
+    s[:, lanes] = rank_cdf(contest.n, js.reshape(-1, 1), ps)
+    return np.dot(coef, s)[lanes]
 
 
 def w_transform(contest: PrizeVector) -> WTransform:

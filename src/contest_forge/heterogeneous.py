@@ -2,14 +2,13 @@
 
 With heterogeneous costs the equilibrium is no longer a quality threshold,
 but on a finite weighted support it is still pinned down by best-response
-structure: an agent participates iff her cost is at most the expected prize
-at her beat probability (ties toward participation). Because stronger
-competition weakly lowers everyone's expected prize, the best-response map is
-antitone, and iterating it twice from the empty and full profiles yields a
-monotone bracket [A_k, B_k] that collapses onto the equilibrium in finitely
-many rounds. When the bracket does not collapse, both endpoints are reported
-and downstream estimates use the upper (participation-favoring) profile,
-flagged in the output.
+structure: an agent participates iff its cost is at most the expected prize
+at its beat probability (ties toward participation). Qualities are pairwise
+distinct, so a point's beat probability is the entering mass of the points
+above it, and deciding the points in decreasing quality fixes the unique
+equilibrium. :func:`equilibrium` does so in batched sweeps over the
+undecided points; because the expected prize only falls as more mass
+enters, a point that fails once fails for good.
 
 Participation profiles here are masks over the support of an
 :class:`~contest_forge.distributions.EmpiricalTypes`; the distinct-q
@@ -32,6 +31,7 @@ import numpy as np
 
 from .contest import (
     PrizeVector,
+    _prize_curve_lanes,
     expected_prize,
     expected_prize_curve,
     lottery_decomposition,
@@ -49,7 +49,6 @@ from .distributions import (
 from .errors import (
     BudgetTooSmall,
     IndexOutOfRange,
-    IterationLimit,
     NotSubEquilibrium,
     ProfileNotSubEquilibrium,
     ValidationError,
@@ -79,6 +78,9 @@ __all__ = [
 
 _IR_TOL = 1e-12
 _FOSD_TOL = 1e-12
+# relative distance from another point's prize inside which the equilibrium
+# sweep defers a point to its own evaluation; only the round count depends on it
+_DEFER_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +125,13 @@ class ParticipationProfile:
 
 @dataclass(frozen=True)
 class EquilibriumBracket:
+    """The equilibrium of :func:`equilibrium`.
+
+    The sweep finds the equilibrium itself, so ``lower`` and ``upper`` are
+    both that profile and ``converged`` is always true; ``iterations`` counts
+    sweep rounds.
+    """
+
     lower: ParticipationProfile
     upper: ParticipationProfile
     converged: bool
@@ -130,7 +139,7 @@ class EquilibriumBracket:
 
     @property
     def profile(self) -> ParticipationProfile:
-        """The profile downstream code should use: upper endpoint (flagged when open)."""
+        """The equilibrium profile."""
         return self.upper
 
 
@@ -180,15 +189,19 @@ def expected_payoff(
     return expected_prize(contest, p) - float(types.c[i])
 
 
+def _mass_above(w_desc: np.ndarray, mask_desc: np.ndarray) -> np.ndarray:
+    """Entering mass strictly above each point, with points in decreasing q."""
+    masked_w = np.where(mask_desc, w_desc, 0.0)
+    return np.concatenate(([0.0], np.cumsum(masked_w)[:-1]))
+
+
 def _beat_probabilities(
     types: EmpiricalTypes, profile: ParticipationProfile
 ) -> np.ndarray:
     """Vectorised beat_probability over the whole support."""
     order = np.argsort(-types.q, kind="stable")
-    masked_w = np.where(profile.mask[order], types.w[order], 0.0)
-    above = np.concatenate(([0.0], np.cumsum(masked_w)[:-1]))
     out = np.empty(types.support_size)
-    out[order] = above
+    out[order] = _mass_above(types.w[order], profile.mask[order])
     return out
 
 
@@ -207,30 +220,54 @@ def best_response(
 
 
 def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBracket:
-    """Bracket the equilibrium by double best-response iteration.
+    """The unique equilibrium, by sweeps in decreasing quality.
 
-    A_{k+1} = BR(B_k) grows from the empty profile, B_{k+1} = BR(A_k)
-    shrinks from the full profile, and every best-response fixed point stays
-    between them. Returns once both sequences stabilize; ``converged`` means
-    the bracket collapsed to the (then unique) equilibrium.
+    A point's beat probability is the entering mass above it, so the points
+    are decided from the top down. Each round assumes every undecided point
+    enters and evaluates the expected prize once at their beat
+    probabilities. Every point before the first failure enters, since the
+    points above it are now final; the failing point stays out; and so does
+    every later point whose cost exceeds the prize at the failure, since its
+    beat probability can only be higher. Each round decides at least one
+    point, so there are at most ``support_size`` rounds.
+
+    A later point whose cost lies within ``_DEFER_RTOL`` of the prize at the
+    failure is left for a later round: the BLAS dot inside the prize curve
+    rounds each value by its position in the batch, so at that distance the
+    comparison with another point's prize does not settle its own.
+
+    A point enters iff ``c_i <= expected_prize_curve(contest, beat_i)`` with
+    beat_i summed as in :func:`best_response`, bit for bit, so the result is
+    a best-response fixed point.
     """
+    _population(contest, types)
     size = types.support_size
-    lower = ParticipationProfile.empty(size)
-    upper = ParticipationProfile.full(size)
-    limit = 10 * size
-    for iteration in range(1, limit + 1):
-        new_lower = best_response(contest, types, upper)
-        new_upper = best_response(contest, types, lower)
-        if new_lower.same(lower) and new_upper.same(upper):
-            return EquilibriumBracket(
-                lower=lower,
-                upper=upper,
-                converged=lower.same(upper),
-                iterations=iteration,
-            )
-        lower, upper = new_lower, new_upper
-    raise IterationLimit(
-        f"equilibrium bracketing did not stabilize in {limit} rounds"
+    order = np.argsort(-types.q, kind="stable")
+    c = types.c[order]
+    w = types.w[order]
+    alive = np.ones(size, dtype=bool)  # entered or undecided, in q order
+    start = 0  # every point above ``start`` is decided
+    rounds = 0
+    while True:
+        undecided = start + np.flatnonzero(alive[start:])
+        if undecided.size == 0:
+            break
+        rounds += 1
+        beat = _mass_above(w, alive)[undecided]
+        prizes = _prize_curve_lanes(contest, beat, order[undecided], size)
+        failed = np.flatnonzero(c[undecided] > prizes)
+        if failed.size == 0:
+            break
+        first = failed[0]
+        later = undecided[first + 1 :]
+        alive[undecided[first]] = False
+        alive[later[c[later] > prizes[first] * (1.0 + _DEFER_RTOL)]] = False
+        start = undecided[first] + 1
+    mask = np.empty(size, dtype=bool)
+    mask[order] = alive
+    profile = ParticipationProfile(mask)
+    return EquilibriumBracket(
+        lower=profile, upper=profile, converged=True, iterations=rounds
     )
 
 
@@ -277,12 +314,20 @@ def fosd_check(
         raise ProfileNotSubEquilibrium("sub profile violates interim rationality")
     if not best_response(contest, types, eq_profile).same(eq_profile):
         raise ProfileNotSubEquilibrium("eq profile is not a best-response fixed point")
-    xs = np.concatenate(([0.0], np.sort(types.q)))
-    eq_out = np.where(eq_profile.mask, types.q, 0.0)
-    sub_out = np.where(sub_profile.mask, types.q, 0.0)
-    cdf_eq = (eq_out[None, :] <= xs[:, None]) @ types.w
-    cdf_sub = (sub_out[None, :] <= xs[:, None]) @ types.w
+    xs = np.concatenate(([0.0], types.q))
+    cdf_eq = _output_cdfs(types, eq_profile, xs)
+    cdf_sub = _output_cdfs(types, sub_profile, xs)
     return bool(np.all(cdf_eq <= cdf_sub + _FOSD_TOL))
+
+
+def _output_cdfs(
+    types: EmpiricalTypes, profile: ParticipationProfile, xs: np.ndarray
+) -> np.ndarray:
+    """output_cdf at every x in ``xs``, from one sort of the outputs."""
+    out = np.where(profile.mask, types.q, 0.0)
+    order = np.argsort(out, kind="stable")
+    cum = np.concatenate(([0.0], np.cumsum(types.w[order])))
+    return cum[np.searchsorted(out[order], xs, side="right")]
 
 
 def rule_from_profile(types: EmpiricalTypes, profile: ParticipationProfile):
@@ -532,8 +577,10 @@ def example_obj(
 
     Every objective is the exact expectation on the discretized support;
     ``seed`` drives the discretization only, and ``replicas`` is accepted for
-    compatibility and does not affect the result.
+    compatibility and does not affect the result. The contests need
+    n >= max(11, round(V/2)) ranks.
     """
+    _check_scalars(n=n, budget=budget)
     if budget < 160.0:
         raise BudgetTooSmall(
             f"the separation argument needs budget >= 160, got {budget!r}"
@@ -542,6 +589,13 @@ def example_obj(
         raise ValidationError(f"need 0 < eps < 1, got {eps!r}")
     seed = int(seed)
     V = float(budget)
+    j_mid = int(round(V / 2.0))
+    # the spread contest pays j_mid ranks and floor_plus_ten pays 11
+    min_n = max(11, j_mid)
+    if n < min_n:
+        raise ValidationError(
+            f"need n >= max(11, round(V/2)) = {min_n} for budget V={V!r}, got n={n}"
+        )
     jd = RectMixture(
         (
             RectComponent(1.0, 1.0 + eps, 1.0 - eps, 1.0, 0.5),
@@ -555,7 +609,6 @@ def example_obj(
     wta_bracket = equilibrium(wta, types)
     wta_max = exact_objective(types, wta_bracket.profile, n, "max")
 
-    j_mid = int(round(V / 2.0))
     spread = make_simple_contest(j_mid, V, n)
     spread_bracket = equilibrium(spread, types)
     spread_sum = exact_objective(types, spread_bracket.profile, n, "sum")

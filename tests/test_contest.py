@@ -6,6 +6,7 @@ from scipy import stats
 
 from contest_forge.contest import (
     PrizeVector,
+    _prize_curve_lanes,
     contest_from_dict,
     contest_to_dict,
     expected_prize,
@@ -24,6 +25,7 @@ from contest_forge.errors import (
     NotMonotone,
     ValidationError,
 )
+from contest_forge.numerics import rank_cdf
 
 
 def random_contest(rng, n, budget=1.0, exhaust=False):
@@ -111,6 +113,35 @@ class TestExpectedPrize:
             np.testing.assert_allclose(expected_prize_curve(v, ps), direct, rtol=0, atol=1e-12)
             scalar = np.array([expected_prize(v, p) for p in ps])
             np.testing.assert_allclose(scalar, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (400,), (3, 5)])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_bitwise_equal_to_tensordot(self, shape, general):
+        rng = np.random.default_rng(21)
+        n = 50
+        v = random_contest(rng, n, exhaust=True) if general else make_simple_contest(7, 1.0, n)
+        ps = rng.uniform(0.0, 1.0, size=shape)
+        js, coef = v._mixture
+        s = rank_cdf(n, js.reshape(-1, *(1,) * ps.ndim), ps)
+        want = np.tensordot(coef, s, axes=1)
+        got = expected_prize_curve(v, ps)
+        assert got.shape == want.shape == np.shape(ps)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_lanes_bitwise_equal_to_full_batch(self, general):
+        """The BLAS dot rounds by position, so the lane helper must reproduce the
+        full batch at each lane, not merely a shorter batch's values."""
+        rng = np.random.default_rng(22)
+        n, width = 50, 400
+        for _ in range(20):
+            v = random_contest(rng, n, exhaust=True) if general else make_simple_contest(
+                int(rng.integers(1, n + 1)), 1.0, n
+            )
+            full = rng.uniform(0.0, 1.0, size=width)
+            lanes = np.sort(rng.choice(width, size=int(rng.integers(1, width + 1)), replace=False))
+            got = _prize_curve_lanes(v, full[lanes], lanes, width)
+            assert got.tobytes() == expected_prize_curve(v, full)[lanes].tobytes()
 
 
 class TestWTransform:

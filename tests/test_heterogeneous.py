@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from contest_forge.contest import PrizeVector, expected_prize, make_simple_contest
+from contest_forge.contest import (
+    PrizeVector,
+    expected_prize,
+    expected_prize_curve,
+    make_simple_contest,
+)
 from contest_forge.distributions import (
     EmpiricalTypes,
     RectComponent,
@@ -21,6 +26,8 @@ from contest_forge.errors import (
 )
 from contest_forge.heterogeneous import (
     ParticipationProfile,
+    _beat_probabilities,
+    _output_cdfs,
     beat_probability,
     best_response,
     equilibrium,
@@ -55,6 +62,53 @@ def random_types(rng, size, n, c_hi=1.0):
 
 def random_profile(rng, size):
     return ParticipationProfile(rng.random(size) < rng.uniform(0.2, 0.8))
+
+
+def bracket_oracle(contest, types):
+    """The double best-response bracket: A_{k+1} = BR(B_k) grows from the empty
+    profile and B_{k+1} = BR(A_k) shrinks from the full one, trapping every
+    fixed point between them. Returns (lower, upper) once both stabilize."""
+    size = types.support_size
+    lower = ParticipationProfile.empty(size)
+    upper = ParticipationProfile.full(size)
+    for _ in range(10 * size):
+        new_lower = best_response(contest, types, upper)
+        new_upper = best_response(contest, types, lower)
+        if new_lower.same(lower) and new_upper.same(upper):
+            return lower, upper
+        lower, upper = new_lower, new_upper
+    raise AssertionError(f"bracket did not stabilize in {10 * size} rounds")
+
+
+def criterion_09_types(rng, m=400, n=50):
+    """A discretized one- or two-rectangle law drawn as in acceptance criterion 09."""
+    parts = int(rng.integers(1, 3))
+    weights = rng.uniform(0.2, 1.0, size=parts)
+    weights /= weights.sum()
+    comps = []
+    for k in range(parts):
+        q_lo = float(rng.uniform(0.0, 1.0))
+        c_lo = float(rng.uniform(0.08, 0.5))
+        comps.append(
+            RectComponent(
+                q_lo,
+                q_lo + float(rng.uniform(0.1, 1.0)),
+                c_lo,
+                c_lo + float(rng.uniform(0.05, 0.6)),
+                float(weights[k]),
+            )
+        )
+    return discretize(RectMixture(tuple(comps)), m, int(rng.integers(0, 2**31)), n=n)
+
+
+def random_general_contest(rng, n):
+    """Budget-exhausting, geometrically decaying prizes on at least 2 top ranks,
+    top-heavy enough that some criterion-09 types enter."""
+    paid = int(rng.integers(2, n + 1))
+    decay = np.exp(-rng.uniform(0.1, 1.5) * np.arange(paid))
+    raw = np.sort(decay * rng.uniform(0.5, 1.0, size=paid))[::-1]
+    values = tuple(float(v) for v in raw / raw.sum()) + (0.0,) * (n - paid)
+    return PrizeVector(values, 1.0)
 
 
 class TestParticipationProfile:
@@ -208,6 +262,78 @@ class TestEquilibrium:
             equilibrium(make_simple_contest(1, 1.0, 3), TWO_POINT)
 
 
+class TestEquilibriumSweep:
+    def check_against_oracle(self, contest, types):
+        eq = equilibrium(contest, types)
+        lower, upper = bracket_oracle(contest, types)
+        assert lower.same(upper)
+        np.testing.assert_array_equal(eq.profile.mask, upper.mask)
+        assert best_response(contest, types, eq.profile).same(eq.profile)
+        assert eq.converged and eq.lower.same(eq.upper)
+        assert 1 <= eq.iterations <= types.support_size + 1
+        return eq
+
+    def test_matches_bracket_oracle_on_criterion_09_instances(self):
+        rng = np.random.default_rng(2024)
+        n = 50
+        checked = 0
+        for _ in range(16):
+            types = criterion_09_types(rng, n=n)
+            contests = [random_general_contest(rng, n)]
+            contests += [make_simple_contest(j, 1.0, n) for j in range(1, 13)]
+            for contest in contests:
+                self.check_against_oracle(contest, types)
+                checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize(
+        "general, size, seeds",
+        [(False, 400, range(6)), (True, 400, range(6)), (True, 399, range(270, 290))],
+    )
+    def test_cost_equal_to_prize_ties(self, general, size, seeds):
+        """Set every participant just below a non-participant (in q) onto its
+        tie c_i = c(beat_i), as best_response computes it; the tie enters.
+
+        With 399 points the BLAS dot has tail lanes that round differently
+        from the rest, so the prize at the failing point above a tie can sit
+        one bit below the tie's own (seeds 271, 283 and 287 do).
+        """
+        n = 50
+        tied = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            types = criterion_09_types(rng, m=size, n=n)
+            contest = (
+                random_general_contest(rng, n) if general
+                else make_simple_contest(int(rng.integers(1, 13)), 1.0, n)
+            )
+            eq = equilibrium(contest, types).profile
+            prizes = expected_prize_curve(contest, _beat_probabilities(types, eq))
+            order = np.argsort(-types.q, kind="stable")
+            mask_desc = eq.mask[order]
+            ties = order[1:][mask_desc[1:] & ~mask_desc[:-1]]
+            c = types.c.copy()
+            c[ties] = prizes[ties]
+            tie_types = EmpiricalTypes(q=types.q, c=c, w=types.w, n=n)
+            got = self.check_against_oracle(contest, tie_types)
+            assert np.all(got.profile.mask[ties])
+            tied += ties.size
+        assert tied > 0
+
+    def test_wta_top_point_at_budget(self):
+        """The top point's beat probability is 0, so its WTA prize is V = c."""
+        rng = np.random.default_rng(10)
+        n = 50
+        for _ in range(5):
+            types = criterion_09_types(rng, n=n)
+            c = types.c.copy()
+            top = int(np.argmax(types.q))
+            c[top] = 1.0
+            tie_types = EmpiricalTypes(q=types.q, c=c, w=types.w, n=n)
+            eq = self.check_against_oracle(make_simple_contest(1, 1.0, n), tie_types)
+            assert eq.profile.mask[top]
+
+
 class TestIsSubEquilibrium:
     def test_equilibrium_passes(self):
         bracket = equilibrium(WTA2, TWO_POINT)
@@ -256,7 +382,33 @@ class TestOutputCdf:
             output_cdf(TWO_POINT, ParticipationProfile.full(2), -0.1)
 
 
+def matrix_output_cdfs(types, profile, xs):
+    """output_cdf at every x as one (len(xs), m) comparison matrix times w."""
+    out = np.where(profile.mask, types.q, 0.0)
+    return (out[None, :] <= np.asarray(xs)[:, None]) @ types.w
+
+
 class TestFosd:
+    def test_sorted_cdfs_match_matrix_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            size = int(rng.integers(1, 60))
+            types = random_types(rng, size, 5)
+            a, b = random_profile(rng, size), random_profile(rng, size)
+            xs = np.concatenate(([0.0], types.q, rng.uniform(-0.5, 1.5, size=5)))
+            for profile in (a, b):
+                np.testing.assert_allclose(
+                    _output_cdfs(types, profile, xs),
+                    matrix_output_cdfs(types, profile, xs),
+                    rtol=0.0, atol=1e-14,
+                )
+            xs = np.concatenate(([0.0], types.q))
+            want = np.all(
+                matrix_output_cdfs(types, a, xs) <= matrix_output_cdfs(types, b, xs) + 1e-12
+            )
+            got = np.all(_output_cdfs(types, a, xs) <= _output_cdfs(types, b, xs) + 1e-12)
+            assert got == want
+
     def test_reflexive(self):
         bracket = equilibrium(WTA2, TWO_POINT)
         assert fosd_check(TWO_POINT, bracket.upper, bracket.upper, WTA2)
@@ -496,3 +648,13 @@ class TestExampleObj:
     def test_eps_gate(self):
         with pytest.raises(ValidationError):
             example_obj(400.0, 500, 0.0, seed=0)
+
+    @pytest.mark.parametrize("n, need", [(10, 200), (80, 200), (199, 200)])
+    def test_population_gate_names_n_and_budget(self, n, need):
+        with pytest.raises(ValidationError, match=rf"= {need} for budget V=400.0, got n={n}$"):
+            example_obj(400.0, n, 0.01, seed=0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget(self, budget):
+        with pytest.raises(ValidationError, match="budget must be positive and finite"):
+            example_obj(budget, 500, 0.01, seed=0)
