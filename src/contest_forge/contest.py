@@ -176,23 +176,6 @@ def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
     return np.dot(coef, s.reshape(len(coef), -1)).reshape(ps.shape)
 
 
-def _prize_curve_lanes(
-    contest: PrizeVector, ps: np.ndarray, lanes: np.ndarray, width: int
-) -> np.ndarray:
-    """``expected_prize_curve(contest, full)[lanes]`` for any ``full`` of length
-    ``width`` with ``full[lanes] = ps``, bit for bit, at the kernel cost of
-    ``len(ps)`` points.
-
-    The BLAS dot rounds each output by its position in the batch, so a shorter
-    batch can differ from the full one in the last bit. Zero columns keep every
-    value at its own position.
-    """
-    js, coef = contest._mixture
-    s = np.zeros((len(coef), width))
-    s[:, lanes] = rank_cdf(contest.n, js.reshape(-1, 1), ps)
-    return np.dot(coef, s)[lanes]
-
-
 def w_transform(contest: PrizeVector) -> WTransform:
     """Weights w_j = j * (v_j - v_{j+1}) with v_{n+1} = 0; nonnegative by monotonicity."""
     v = contest.values

@@ -31,7 +31,6 @@ import numpy as np
 
 from .contest import (
     PrizeVector,
-    _prize_curve_lanes,
     expected_prize,
     expected_prize_curve,
     lottery_decomposition,
@@ -79,7 +78,10 @@ __all__ = [
 _IR_TOL = 1e-12
 _FOSD_TOL = 1e-12
 # relative distance from another point's prize inside which the equilibrium
-# sweep defers a point to its own evaluation; only the round count depends on it
+# sweep defers a point to its own evaluation. It must exceed the relative
+# rounding spread between positions of the prize curve's dot (a few ulps); any
+# value above that changes only the round count, while below it a later point
+# whose cost ties its own prize can be dropped on another position's rounding.
 _DEFER_RTOL = 1e-12
 
 
@@ -231,14 +233,12 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
     beat probability can only be higher. Each round decides at least one
     point, so there are at most ``support_size`` rounds.
 
-    A later point whose cost lies within ``_DEFER_RTOL`` of the prize at the
-    failure is left for a later round: the BLAS dot inside the prize curve
-    rounds each value by its position in the batch, so at that distance the
-    comparison with another point's prize does not settle its own.
-
-    A point enters iff ``c_i <= expected_prize_curve(contest, beat_i)`` with
-    beat_i summed as in :func:`best_response`, bit for bit, so the result is
-    a best-response fixed point.
+    Each round evaluates the full-support beat vector in the original order,
+    the exact call :func:`best_response` makes, so a point enters iff
+    ``c_i <= expected_prize_curve(contest, beat)[i]`` on the same bits and the
+    result is a best-response fixed point. The BLAS dot inside the prize curve
+    rounds each value by its position, so a later point whose cost lies within
+    ``_DEFER_RTOL`` of the prize at the failure is left for a later round.
     """
     _population(contest, types)
     size = types.support_size
@@ -253,8 +253,9 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
         if undecided.size == 0:
             break
         rounds += 1
-        beat = _mass_above(w, alive)[undecided]
-        prizes = _prize_curve_lanes(contest, beat, order[undecided], size)
+        beat = np.empty(size)
+        beat[order] = _mass_above(w, alive)
+        prizes = expected_prize_curve(contest, beat)[order][undecided]
         failed = np.flatnonzero(c[undecided] > prizes)
         if failed.size == 0:
             break

@@ -6,7 +6,6 @@ from scipy import stats
 
 from contest_forge.contest import (
     PrizeVector,
-    _prize_curve_lanes,
     contest_from_dict,
     contest_to_dict,
     expected_prize,
@@ -127,21 +126,6 @@ class TestExpectedPrize:
         got = expected_prize_curve(v, ps)
         assert got.shape == want.shape == np.shape(ps)
         assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("general", [False, True])
-    def test_lanes_bitwise_equal_to_full_batch(self, general):
-        """The BLAS dot rounds by position, so the lane helper must reproduce the
-        full batch at each lane, not merely a shorter batch's values."""
-        rng = np.random.default_rng(22)
-        n, width = 50, 400
-        for _ in range(20):
-            v = random_contest(rng, n, exhaust=True) if general else make_simple_contest(
-                int(rng.integers(1, n + 1)), 1.0, n
-            )
-            full = rng.uniform(0.0, 1.0, size=width)
-            lanes = np.sort(rng.choice(width, size=int(rng.integers(1, width + 1)), replace=False))
-            got = _prize_curve_lanes(v, full[lanes], lanes, width)
-            assert got.tobytes() == expected_prize_curve(v, full)[lanes].tobytes()
 
 
 class TestWTransform:
