@@ -9,15 +9,15 @@ positive root (mapped by p = r/(1+r)) of the polynomial
 
 which has a single sign change by Descartes' rule. With p = r/(1+r),
 (1-p)^(n-1) Q_j(r) = (j-1) pmf(j-1) - S_{j-1}(p) for B(n-1, p), so
-``breakpoints`` finds every p_j at once by bisecting the sign of
-log((j-1) pmf(j-1)) - log S_{j-1}(p) over p in (0, 1). The expanded
-polynomial overflows a float near n = 190; ``q_polynomial`` stays as the
-test reference. In the scaling limit
-(n -> infinity, lambda = n p fixed) binomial curves become Poisson ones and
-the design problem has a clean limit object: the rate of M^j inverts the
-Poisson curve in closed form, and the best j is found by the first-descent
-search of the finite design. The bound_audit routine numerically
-spot-checks the inequalities the asymptotic analysis leans on.
+``breakpoints`` finds every p_j at once as the root of
+g(p) = log((j-1) pmf(j-1)) - log S_{j-1}(p) on (0, 1), by a safeguarded
+Newton iteration over all j together. The expanded polynomial overflows a
+float near n = 190; ``q_polynomial`` stays as the test reference. In the
+scaling limit (n -> infinity, lambda = n p fixed) binomial curves become
+Poisson ones and the design problem has a clean limit object: the rate of
+M^j inverts the Poisson curve in closed form, and the best j is found by the
+first-descent search of the finite design. The bound_audit routine
+numerically spot-checks the inequalities the asymptotic analysis leans on.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .contest import make_simple_contest
 from .distributions import Uniform
 from .errors import (
+    IterationLimit,
     OrderingViolation,
     OutOfRange,
     PopulationTooLarge,
@@ -66,8 +67,13 @@ __all__ = [
 
 # largest V/c that poisson_limit accepts
 MAX_POISSON_SCALE = 1e8
-# bisection steps for the breakpoint roots on (0, 1): 2^-64 < 1e-19 absolute
+# largest n that breakpoints accepts; see its docstring
+MAX_BREAKPOINT_POPULATION = 500_000
+# cap on the Newton rounds of the breakpoint roots, which take 6 to 11 up to
+# n = 20000; a root still open after it raises IterationLimit
 _ROOT_STEPS = 64
+# relative Newton step under which a breakpoint root counts as converged
+_ROOT_RTOL = 1e-12
 
 # Audit constants for the tail band check; the underlying analysis only pins
 # the orders, so these are deliberately generous.
@@ -138,29 +144,25 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     """Tabulate (p_j, c_j) for j = 2..n.
 
     p_j is where (j-1) Pr[B(n-1, p) = j-1] = Pr[B(n-1, p) <= j-2], the root
-    of Q_j mapped to p; all n-1 roots are bisected together. c_j = (V/j) S_j(p_j)
-    is the common value of the M^j and M^{j-1} curves there. Raises
-    OrderingViolation if the resulting sequence is not strictly decreasing
-    with gaps above 1e-12 * V.
+    of Q_j mapped to p; all n-1 roots are solved together by
+    ``_breakpoint_roots``. c_j = (V/j) S_j(p_j) is the common value of the
+    M^j and M^{j-1} curves there. Raises OrderingViolation if the resulting
+    sequence is not strictly decreasing with gaps above 1e-12 * V. n above
+    MAX_BREAKPOINT_POPULATION raises PopulationTooLarge before any work: the
+    smallest gap, c_{n-1} - c_n, shrinks like 1/n^2, from 3.7e-12 V at
+    n = 500000 to below the check at n = 10^6, and a table of 500000 rows
+    takes a few seconds to solve.
     """
     _check_scalars(n=n, budget=budget)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
+    if n > MAX_BREAKPOINT_POPULATION:
+        raise PopulationTooLarge(
+            f"n = {n} exceeds the largest supported breakpoint table "
+            f"{MAX_BREAKPOINT_POPULATION}"
+        )
     js = np.arange(2, n + 1)
-    log_rank = np.log(js - 1.0)
-    lo = np.zeros(js.shape)
-    hi = np.ones(js.shape)
-    # the sign is -inf at p = 0 and +inf at p = 1; where S_{j-1} underflows
-    # (p far above the root) log 0 = -inf gives the right sign
-    with np.errstate(divide="ignore"):
-        for _ in range(_ROOT_STEPS):
-            mid = 0.5 * (lo + hi)
-            above = log_rank + binom_logpmf(n - 1, js - 1, mid) > np.log(
-                rank_cdf(n, js - 1, mid)
-            )
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-    p = 0.5 * (lo + hi)
+    p = _breakpoint_roots(n, js)
     c = (budget / js) * rank_cdf(n, js, p)
     entries = tuple(
         (int(j), float(p_j), float(c_j)) for j, p_j, c_j in zip(js, p, c)
@@ -176,15 +178,60 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     return table
 
 
+def _breakpoint_roots(n: int, js: np.ndarray) -> np.ndarray:
+    """The roots p_j in (0, 1) of g(p) = log((j-1) b(j-1; p)) - log S_{j-1}(p).
+
+    b is the pmf of B(n-1, p). g rises from -inf at p = 0 to +inf at p = 1,
+    and dS_{j-1}/dp = -(j-1) b(j-1; p) / p gives its slope without another
+    kernel call: g'(p) = (j-1)/p - (n-j)/(1-p) + e^g / p. Each round
+    evaluates g on the lanes still open, narrows their sign brackets
+    [lo, hi] and takes the Newton step; a step that is not finite or leaves
+    the bracket (its ends count as inside) becomes a bisection step. A lane
+    closes on a Newton step below _ROOT_RTOL * p, or below (n-1) eps * p:
+    S_{j-1} is evaluated at the rounded 1 - p, and its (n-1)-fold power turns
+    that rounding into noise in g of about (n-1) eps relative in p for the
+    small j, which a fixed tolerance would chase forever at large n. A lane
+    still open after _ROOT_STEPS rounds raises IterationLimit.
+    """
+    rtol = max(_ROOT_RTOL, (n - 1) * np.finfo(float).eps)
+    lo = np.zeros(js.shape)
+    hi = np.ones(js.shape)
+    p = np.clip((js - 1.5) / (n - 1), 1e-3, 1.0 - 1e-3)
+    live = np.arange(js.size)
+    # g is -inf where the pmf underflows and +inf where S_{j-1} does; both
+    # give the right sign and a non-finite step, hence a bisection step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ROOT_STEPS):
+            j, x = js[live], p[live]
+            g = (
+                np.log(j - 1.0)
+                + binom_logpmf(n - 1, j - 1, x)
+                - np.log(rank_cdf(n, j - 1, x))
+            )
+            above = g > 0.0
+            lo_live = np.where(above, lo[live], x)
+            hi_live = np.where(above, x, hi[live])
+            lo[live], hi[live] = lo_live, hi_live
+            step = g / ((j - 1) / x - (n - j) / (1.0 - x) + np.exp(g) / x)
+            newton = x - step
+            accept = np.isfinite(newton) & (lo_live <= newton) & (newton <= hi_live)
+            p[live] = np.where(accept, newton, 0.5 * (lo_live + hi_live))
+            live = live[~(accept & (np.abs(step) <= rtol * x))]
+            if live.size == 0:
+                return p
+    raise IterationLimit(
+        f"{live.size} breakpoint roots open after {_ROOT_STEPS} rounds at n = {n}, "
+        f"first at j = {int(js[live[0]])}"
+    )
+
+
 def classify_by_breakpoints(table: BreakpointTable, c: float) -> int:
     """The j whose interval [c_{j+1}, c_j] contains c; boundaries go to the smaller j."""
     if not 0.0 < c < table.budget:
         raise OutOfRange(f"need 0 < c < V = {table.budget}, got {c!r}")
-    thresholds = table.thresholds()
-    for j in range(1, table.n + 1):
-        if c >= thresholds[j]:  # thresholds[j] is c_{j+1}
-            return j
-    return table.n  # unreachable: thresholds end at 0 < c
+    # the first j with c >= c_{j+1}; c_2 > ... > c_n > 0 ascend once negated,
+    # and side="left" puts c = c_{j+1} at that j
+    return int(np.searchsorted(-table.thresholds()[1:], -c, side="left")) + 1
 
 
 def wta_optimal(n: int, budget: float, c: float) -> bool:

@@ -246,13 +246,14 @@ class TestInputBoundary:
             ["example-obj", "--n", "80"],
             ["example-obj", "--prize", "nan"],
             ["example-obj", "--prize", "inf"],
+            ["compstat", "--n", "1000000", "--prize", "1"],
         ],
         ids=["approx_negative_seed", "example_obj_negative_seed",
              "hetero_eq_negative_seed", "scan_nan_n_factor", "scan_inf_scale",
              "poisson_overflowing_scale", "rect_inf_edge",
              "example_obj_zero_n", "example_obj_n_below_floor_plus_ten",
              "example_obj_n_below_spread", "example_obj_nan_prize",
-             "example_obj_inf_prize"],
+             "example_obj_inf_prize", "compstat_population_too_large"],
     )
     def test_rejected_with_one_line(self, capsys, tmp_path, argv):
         files = {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC, "INF_DIST": RECT_INF_DOC}

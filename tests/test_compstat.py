@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
+from contest_forge import compstat
 from contest_forge.compstat import (
+    MAX_BREAKPOINT_POPULATION,
+    BreakpointTable,
     asymptotic_scan,
     bound_audit,
     breakpoints,
@@ -18,13 +21,51 @@ from contest_forge.compstat import (
 )
 from contest_forge.contest import expected_prize, make_simple_contest
 from contest_forge.distributions import Uniform
-from contest_forge.errors import OutOfRange, PopulationTooLarge, ValidationError
+from contest_forge.errors import (
+    IterationLimit,
+    OutOfRange,
+    PopulationTooLarge,
+    ValidationError,
+)
 from contest_forge.homogeneous import optimal_contest
 from contest_forge.numerics import (
+    binom_logpmf,
     bisect_decreasing,
     find_positive_root_sign_change,
     poisson_cdf_partial_inv,
+    rank_cdf,
 )
+
+UNIFORM = Uniform(0.0, 1.0)
+
+
+def bisected_breakpoints(n, budget, js=None):
+    """(js, p_j, c_j) by 64 bisection steps on the sign of each root function,
+    the route breakpoints took before the Newton solve. ``js`` picks the rows,
+    2..n by default; each row is bisected independently of the others."""
+    js = np.arange(2, n + 1) if js is None else np.asarray(js)
+    log_rank = np.log(js - 1.0)
+    lo = np.zeros(js.shape)
+    hi = np.ones(js.shape)
+    with np.errstate(divide="ignore"):
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            above = log_rank + binom_logpmf(n - 1, js - 1, mid) > np.log(
+                rank_cdf(n, js - 1, mid)
+            )
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+    p = 0.5 * (lo + hi)
+    return js, p, (budget / js) * rank_cdf(n, js, p)
+
+
+def looped_classification(table, c):
+    """classify_by_breakpoints as the walk over the thresholds it replaced."""
+    thresholds = table.thresholds()
+    for j in range(1, table.n + 1):
+        if c >= thresholds[j]:  # thresholds[j] is c_{j+1}
+            return j
+    return table.n
 
 
 def bisected_poisson_limit(budget, c):
@@ -106,6 +147,75 @@ class TestBreakpoints:
             )
 
 
+class TestNewtonBreakpoints:
+    """The safeguarded Newton solve against the bisection it replaced."""
+
+    @staticmethod
+    def _columns(table):
+        return tuple(np.array(col) for col in zip(*table.entries))
+
+    def test_matches_bisection_oracle(self):
+        for n in [*range(2, 201), 1000, 5000]:
+            js, p, c = self._columns(breakpoints(n, 1.0))
+            js_ref, p_ref, c_ref = bisected_breakpoints(n, 1.0)
+            np.testing.assert_array_equal(js, js_ref)
+            np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=0, err_msg=f"n={n}")
+            np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=0, err_msg=f"n={n}")
+
+    def test_matches_bisection_oracle_at_population_limit(self):
+        # S_{j-1} is evaluated at the rounded 1 - p, and its (n-1)-fold power
+        # makes every route noisy at about (n-1) eps ~ 1e-10 relative here;
+        # the rows cover the noisiest small j, a sample of the middle and the
+        # smallest gaps near j = n
+        n = MAX_BREAKPOINT_POPULATION
+        table = breakpoints(n, 1.0)
+        rows = np.unique(
+            np.concatenate([np.arange(2, 1002), np.arange(1002, n - 1000, 997),
+                            np.arange(n - 1000, n + 1)])
+        )
+        _, p_ref, c_ref = bisected_breakpoints(n, 1.0, rows)
+        _, p, c = self._columns(table)
+        np.testing.assert_allclose(p[rows - 2], p_ref, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(c[rows - 2], c_ref, rtol=1e-10, atol=0)
+
+    def test_criterion_03_classifications(self):
+        rng = np.random.default_rng(42)
+        for n in range(2, 51):
+            table = breakpoints(n, 1.0)
+            js, p_ref, c_ref = bisected_breakpoints(n, 1.0)
+            oracle = BreakpointTable(
+                n=n, budget=1.0, entries=tuple(zip(js.tolist(), p_ref.tolist(), c_ref.tolist()))
+            )
+            for _ in range(100):
+                c = float(rng.uniform(1e-3, 0.999))
+                j_star = optimal_contest(n, 1.0, c, UNIFORM).j_star
+                assert classify_by_breakpoints(table, c) == j_star, (n, c)
+                assert classify_by_breakpoints(oracle, c) == j_star, (n, c)
+
+    def test_round_count(self, monkeypatch):
+        # each round calls rank_cdf once; c_j takes one more call
+        calls = []
+
+        def counting_rank_cdf(*args):
+            calls.append(1)
+            return rank_cdf(*args)
+
+        monkeypatch.setattr(compstat, "rank_cdf", counting_rank_cdf)
+        for n in [*range(2, 201), 1000, 5000]:
+            calls.clear()
+            breakpoints(n, 1.0)
+            assert len(calls) - 1 <= 10, (n, len(calls) - 1)
+
+    def test_open_root_raises_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(compstat, "_ROOT_STEPS", 3)
+        with pytest.raises(IterationLimit):
+            breakpoints(1000, 1.0)
+
+    def test_population_limit(self):
+        with pytest.raises(PopulationTooLarge):
+            breakpoints(MAX_BREAKPOINT_POPULATION + 1, 1.0)
+
+
 class TestClassification:
     def test_agrees_with_direct_design(self):
         rng = np.random.default_rng(42)
@@ -117,6 +227,15 @@ class TestClassification:
                 j_table = classify_by_breakpoints(table, c)
                 j_direct = optimal_contest(n, 1.0, c, qd).j_star
                 assert j_table == j_direct, (n, c)
+
+    def test_matches_threshold_walk(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 5, 60, 1000):
+            table = breakpoints(n, 1.0)
+            # every exact threshold c_2..c_n, where ties go to the smaller j
+            costs = [*(c for _, _, c in table.entries), *rng.uniform(1e-6, 1.0 - 1e-6, 500)]
+            for c in costs:
+                assert classify_by_breakpoints(table, c) == looped_classification(table, c), (n, c)
 
     def test_range_gate(self):
         table = breakpoints(5, 1.0)
