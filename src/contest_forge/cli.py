@@ -23,7 +23,7 @@ from .distributions import (
     EmpiricalTypes,
     RectMixture,
     Uniform,
-    discretize,
+    _finite_types,
     distribution_from_dict,
 )
 from .errors import NumericalError, ValidationError
@@ -98,16 +98,6 @@ def _quality_distribution(args):
             "design needs a quality-marginal distribution, not a joint type law"
         )
     return qd
-
-
-def _types_for(jd, m: int, seed: int, n: int) -> EmpiricalTypes:
-    if isinstance(jd, EmpiricalTypes):
-        return jd if jd.n == n else jd.with_n(n)
-    if isinstance(jd, RectMixture):
-        return discretize(jd, m, seed, n=n)
-    raise ValidationError(
-        f"{type(jd).__name__} is a quality marginal; this subcommand needs a joint type law"
-    )
 
 
 def cmd_design(args) -> str:
@@ -213,7 +203,7 @@ def cmd_hetero_eq(args) -> str:
         raise ValidationError(
             f"contest has {contest.n} ranks but --n is {args.n}"
         )
-    types = _types_for(jd, args.m, args.seed, args.n)
+    types = _finite_types(jd, args.m, args.seed, args.n)
     bracket = equilibrium(contest, types)
     payload = {
         "n": args.n,
@@ -233,10 +223,6 @@ def cmd_approx(args) -> str:
     if args.format == "csv":
         raise ValidationError("approx emits a nested report; use --format json")
     jd = _load_distribution(args.dist)
-    if not isinstance(jd, (RectMixture, EmpiricalTypes)):
-        raise ValidationError(
-            f"{type(jd).__name__} is a quality marginal; approx needs a joint type law"
-        )
     report = wta_approx_experiment(
         jd, args.n, args.prize, args.m, args.replicas, args.seed
     )

@@ -17,13 +17,15 @@ scaling limit (n -> infinity, lambda = n p fixed) binomial curves become
 Poisson ones and the design problem has a clean limit object: the rate of
 M^j inverts the Poisson curve in closed form, and the best j is found by the
 first-descent search of the finite design. The bound_audit routine
-numerically spot-checks the inequalities the asymptotic analysis leans on.
+numerically spot-checks the inequalities the asymptotic analysis leans on,
+with the pmf and tail taken from the same binomial kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +41,7 @@ from .errors import (
 from .homogeneous import _check_scalars, optimal_contest, participation_rate
 from .numerics import (
     binom_logpmf,
-    binom_pmf,
-    binom_tail_geq,
     first_descent,
-    log_binom_pmf,
     poisson_cdf_partial,
     poisson_cdf_partial_inv,
     rank_cdf,
@@ -90,10 +89,18 @@ class BreakpointTable:
     entries: tuple[tuple[int, float, float], ...]
 
     def thresholds(self) -> np.ndarray:
-        """[c_1, c_2, ..., c_n, c_{n+1}] with c_1 = V and c_{n+1} = 0."""
-        return np.array(
-            [self.budget] + [c for (_, _, c) in self.entries] + [0.0]
-        )
+        """[c_1, c_2, ..., c_n, c_{n+1}] with c_1 = V and c_{n+1} = 0, read-only.
+
+        Built once per table, so repeated classifications do not rebuild it
+        from the entries.
+        """
+        return self._thresholds
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        out = np.array([self.budget] + [c for (_, _, c) in self.entries] + [0.0])
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -351,10 +358,6 @@ def bound_audit(n: int, p: float, j: int, vc: float | None = None) -> dict:
       bound is false (the pmf decays at the KL rate, which is faster), so
       those points are skipped;
     * an upper bound for j > pn: pmf < exp(-((j - pn)^2 - 2) / (2j));
-
-    The two pmf inequalities are compared in log space (their report entries
-    carry the log sides), so deep-tail points where both sides underflow a
-    float still audit correctly.
     * a two-sided tail band for pn < j < n/2 when pmf is of order 1/j
       (between 1/(2j) and 1/j): sqrt(C0/(j ln j)) <= Pr[X >= j] <=
       sqrt(C1/(j ln j)) with C0 = 0.001, C1 = 100;
@@ -362,6 +365,11 @@ def bound_audit(n: int, p: float, j: int, vc: float | None = None) -> dict:
       contest with floor(vc - sqrt(vc)) prizes at n agents:
       p > (vc - sqrt(5 vc ln vc)) / (n - 1). Skipped for vc < 7, where the
       floor is vacuous.
+
+    The log pmf is ``binom_logpmf`` and the tail is 1 - ``rank_cdf``(n+1, j, p),
+    the one binomial kernel of the solvers. The two pmf inequalities are
+    compared in log space (their report entries carry the log sides), so
+    deep-tail points where both sides underflow a float still audit correctly.
 
     Returns a report dict keyed by check name.
     """
@@ -371,8 +379,8 @@ def bound_audit(n: int, p: float, j: int, vc: float | None = None) -> dict:
         raise ValidationError(f"need 1 <= j <= n, got j={j}, n={n}")
     report: dict[str, dict] = {}
     pn = p * n
-    pmf = binom_pmf(n, j, p)
-    log_pmf = log_binom_pmf(n, j, p)
+    log_pmf = float(binom_logpmf(n, j, p))
+    pmf = math.exp(log_pmf)
 
     if pn <= j <= n / 2:
         log_lower = math.log(0.25) - 0.5 * math.log(j) - 2.0 * (j - pn) ** 2 / pn
@@ -388,7 +396,8 @@ def bound_audit(n: int, p: float, j: int, vc: float | None = None) -> dict:
 
     in_window = j >= 2 and pn < j < n / 2 and 1.0 / (2.0 * j) <= pmf <= 1.0 / j
     if in_window:
-        tail = binom_tail_geq(n, j, p)
+        # Pr[B(n, p) >= j] = 1 - Pr[B(n, p) <= j-1] = 1 - S_j(p) at n+1 agents
+        tail = 1.0 - float(rank_cdf(n + 1, j, p))
         lo = math.sqrt(TAIL_BAND_C0 / (j * math.log(j)))
         hi = math.sqrt(TAIL_BAND_C1 / (j * math.log(j)))
         ok = lo <= tail <= hi

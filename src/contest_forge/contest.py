@@ -36,6 +36,7 @@ from .errors import (
     NegativePrize,
     NegativeWeight,
     NotMonotone,
+    PopulationTooLarge,
     ValidationError,
 )
 from .numerics import rank_cdf
@@ -57,6 +58,8 @@ __all__ = [
 
 _SLACK = 1e-12
 _BUDGET_SLACK = 1e-9
+# largest n that make_simple_contest accepts; see its docstring
+_MAX_RANKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,16 @@ def validate_contest(values, budget: float) -> PrizeVector:
 
 
 def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
-    """Top-j equal split: j prizes of budget/j, zeros below."""
+    """Top-j equal split: j prizes of budget/j, zeros below.
+
+    The prize vector holds all n ranks, and building and validating it takes
+    about 0.2 s at n = 10^6 (2 s at 10^7), so n above 10^6 raises
+    :class:`PopulationTooLarge`; the Poisson limit covers larger populations.
+    """
+    if n > _MAX_RANKS:
+        raise PopulationTooLarge(
+            f"n = {n} exceeds the largest supported contest {_MAX_RANKS}"
+        )
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"need 1 <= j <= n, got j={j}, n={n}")
     prize = float(budget) / j

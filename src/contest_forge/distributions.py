@@ -4,11 +4,14 @@ Quality marginals are atomless (strictly increasing continuous CDFs); joint
 laws are mixtures of axis-aligned rectangles with uniform mass, which is
 enough to express every worked example while keeping all integrals closed
 form. The finite-support surrogate :class:`EmpiricalTypes` requires pairwise
-distinct qualities so that rank comparisons never tie; the discretizer
-enforces that with a deterministic micro-jitter (at most 1e-9 of the support
-width, applied only to colliding points). This distinct-q convention is the
-finite stand-in for an atomless marginal and is relied on by the solvers'
-strict comparisons.
+distinct qualities so that rank comparisons never tie. :func:`discretize`
+draws it from a rectangle mixture by stratified sampling and enforces that
+with a deterministic micro-jitter (at most 1e-9 of the support width,
+applied only to colliding points). This distinct-q convention is the finite
+stand-in for an atomless marginal and is relied on by the solvers' strict
+comparisons. The solvers and the CLI turn a type law into a finite support
+in one place, ``_finite_types``: a support is used as given, a mixture is
+discretized, and a quality marginal, which has no costs, is rejected.
 
 Convention used throughout: the maximum over an empty participant set is 0.
 """
@@ -205,23 +208,17 @@ class EmpiricalTypes:
         return replace(self, n=int(n))
 
 
-def sample_joint(jd: RectMixture, rng: np.random.Generator, size: int | None = None):
-    """Draw (q, c) pairs: pick a rectangle by weight, then uniform inside it.
-
-    ``size=None`` returns a scalar pair; an integer returns two arrays.
-    """
+def sample_joint(jd: RectMixture, rng: np.random.Generator, size: int):
+    """Draw ``size`` (q, c) pairs as two arrays: pick a rectangle by weight, then uniform inside it."""
     w = jd._weight_array()
     k = len(jd.components)
     q_lo = np.array([c.q_lo for c in jd.components])
     q_hi = np.array([c.q_hi for c in jd.components])
     c_lo = np.array([c.c_lo for c in jd.components])
     c_hi = np.array([c.c_hi for c in jd.components])
-    m = 1 if size is None else int(size)
-    idx = rng.choice(k, size=m, p=w)
-    qs = q_lo[idx] + rng.random(m) * (q_hi[idx] - q_lo[idx])
-    cs = c_lo[idx] + rng.random(m) * (c_hi[idx] - c_lo[idx])
-    if size is None:
-        return float(qs[0]), float(cs[0])
+    idx = rng.choice(k, size=size, p=w)
+    qs = q_lo[idx] + rng.random(size) * (q_hi[idx] - q_lo[idx])
+    cs = c_lo[idx] + rng.random(size) * (c_hi[idx] - c_lo[idx])
     return qs, cs
 
 
@@ -312,40 +309,36 @@ def _force_distinct(q: np.ndarray, scale: float) -> np.ndarray:
     raise NumericalError("could not separate duplicate support qualities")
 
 
-def discretize(
-    jd: RectMixture,
-    m: int,
-    seed,
-    *,
-    n: int | None = None,
-    stratified: bool = True,
-) -> EmpiricalTypes:
+def discretize(jd: RectMixture, m: int, seed, *, n: int | None = None) -> EmpiricalTypes:
     """Finite weighted support of m points drawn from the mixture.
 
-    Stratified mode (default) allocates points to components by largest
-    remainder, so per-component counts stay within +-1 of m * weight;
-    ``stratified=False`` draws i.i.d. instead. Weights are uniform 1/m.
-    Duplicate q values (possible with degenerate rectangles) are separated by
-    a deterministic jitter of at most 1e-9 of the support width.
+    Points are allocated to components by largest remainder, so
+    per-component counts stay within +-1 of m * weight, and drawn uniformly
+    inside each rectangle. Weights are uniform 1/m. Duplicate q values
+    (possible with degenerate rectangles) are separated by a deterministic
+    jitter of at most 1e-9 of the support width. A law that is not a
+    :class:`RectMixture`, an m that is not an integer >= 1 and an invalid
+    seed raise :class:`ValidationError`.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m!r}")
+    if not isinstance(jd, RectMixture):
+        raise ValidationError(
+            f"discretize needs a rect_mixture joint law, got {type(jd).__name__}"
+        )
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValidationError(f"m must be an integer >= 1, got {m!r}")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid seed {seed!r}: {exc}") from None
-    if stratified:
-        counts = _stratified_counts(jd._weight_array(), m)
-        qs_parts, cs_parts = [], []
-        for comp, count in zip(jd.components, counts):
-            if count == 0:
-                continue
-            qs_parts.append(comp.q_lo + rng.random(count) * (comp.q_hi - comp.q_lo))
-            cs_parts.append(comp.c_lo + rng.random(count) * (comp.c_hi - comp.c_lo))
-        qs = np.concatenate(qs_parts)
-        cs = np.concatenate(cs_parts)
-    else:
-        qs, cs = sample_joint(jd, rng, size=m)
+    counts = _stratified_counts(jd._weight_array(), m)
+    qs_parts, cs_parts = [], []
+    for comp, count in zip(jd.components, counts):
+        if count == 0:
+            continue
+        qs_parts.append(comp.q_lo + rng.random(count) * (comp.q_hi - comp.q_lo))
+        cs_parts.append(comp.c_lo + rng.random(count) * (comp.c_hi - comp.c_lo))
+    qs = np.concatenate(qs_parts)
+    cs = np.concatenate(cs_parts)
 
     q_lo, q_hi = jd.q_support
     width = q_hi - q_lo
@@ -353,6 +346,24 @@ def discretize(
     qs = _force_distinct(qs, jitter_scale)
     weights = np.full(m, 1.0 / m)
     return EmpiricalTypes(q=qs, c=cs, w=weights, n=n)
+
+
+def _finite_types(law, m: int, seed, n: int) -> EmpiricalTypes:
+    """The finite support a type law gives for a population of n.
+
+    An :class:`EmpiricalTypes` is used as it is, with ``n`` set; a
+    :class:`RectMixture` is discretized to m points with ``seed``. Any other
+    law, such as a quality marginal, has no costs and raises
+    :class:`ValidationError`.
+    """
+    if isinstance(law, EmpiricalTypes):
+        return law if law.n == n else law.with_n(n)
+    if isinstance(law, RectMixture):
+        return discretize(law, m, seed, n=n)
+    raise ValidationError(
+        f"{type(law).__name__} is not a joint (quality, cost) type law; "
+        "use a rect_mixture or an empirical support"
+    )
 
 
 # --- JSON wire formats ----------------------------------------------------

@@ -40,6 +40,7 @@ from .distributions import (
     EmpiricalTypes,
     RectComponent,
     RectMixture,
+    _finite_types,
     discretize,
     low_cost_max_cdf,
     median_max_quality,
@@ -515,10 +516,7 @@ def wta_approx_experiment(
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     seed = int(seed)
-    if isinstance(jd, EmpiricalTypes):
-        types = jd if jd.n == n else jd.with_n(n)
-    else:
-        types = discretize(jd, discretization, seed, n=n)
+    types = _finite_types(jd, discretization, seed, n)
     min_cost = float(types.c.min())
     ratio_cap = budget / min_cost if min_cost > 0.0 else math.inf
     j_cap = n if ratio_cap >= n else max(1, math.floor(ratio_cap + 1e-12))

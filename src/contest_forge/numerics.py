@@ -20,8 +20,8 @@ Conventions
   that fall outside the value range on the bracket instead of raising.
 
 Everything here is deterministic. ``rank_cdf`` and ``binom_logpmf`` are the
-one vectorised binomial kernel that the solvers call; the scalar routines
-serve the bound audit and act as independent references in the test suite.
+one vectorised binomial kernel; every binomial pmf, cdf and tail in the
+package, the bound audit's included, is computed through it.
 """
 
 from __future__ import annotations
@@ -38,23 +38,15 @@ from .errors import BracketFailure, IterationLimit, NonFinite
 __all__ = [
     "BracketedRoot",
     "log_factorial",
-    "log_binom_pmf",
-    "binom_pmf",
-    "binom_tail_geq",
     "rank_cdf",
     "rank_cdf_inv",
     "binom_logpmf",
     "poisson_cdf_partial",
     "poisson_cdf_partial_inv",
     "first_descent",
-    "poisson_cdf_partial_deriv",
     "bisect_decreasing",
     "find_positive_root_sign_change",
 ]
-
-# Exact comb() products are both faster and exact up to here; beyond, the
-# log-space route avoids overflow of the binomial coefficient.
-_LOG_SPACE_THRESHOLD = 30
 
 _MAX_BISECT_ITER = 200
 _MAX_DOUBLINGS = 128
@@ -87,61 +79,6 @@ def log_factorial(n: int) -> float:
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     return math.lgamma(n + 1.0)
-
-
-def log_binom_pmf(n: int, k: int, p: float) -> float:
-    """log Pr[X = k] for X ~ Binomial(n, p); -inf outside 0 <= k <= n.
-
-    Exact in log space, so deep-tail points that underflow ``binom_pmf``
-    stay comparable.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if k < 0 or k > n:
-        return -math.inf
-    if p == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if k == n else -math.inf
-    out = log_factorial(n) - log_factorial(k) - log_factorial(n - k)
-    if k > 0:
-        out += k * math.log(p)
-    if k < n:
-        out += (n - k) * math.log1p(-p)
-    return out
-
-
-def binom_pmf(n: int, k: int, p: float) -> float:
-    """Pr[X = k] for X ~ Binomial(n, p); 0.0 outside 0 <= k <= n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if k < 0 or k > n:
-        return 0.0
-    if 0.0 < p < 1.0 and n <= _LOG_SPACE_THRESHOLD:
-        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    return math.exp(log_binom_pmf(n, k, p))
-
-
-def binom_tail_geq(n: int, j: int, p: float) -> float:
-    """Pr[X >= j] for X ~ Binomial(n, p).
-
-    Summed over whichever tail has fewer terms, complementing when the lower
-    tail is shorter. The result is clipped to [0, 1].
-    """
-    if j <= 0:
-        return 1.0
-    if j > n:
-        return 0.0
-    upper_terms = n - j + 1
-    if upper_terms <= j:
-        total = math.fsum(binom_pmf(n, k, p) for k in range(j, n + 1))
-    else:
-        total = 1.0 - math.fsum(binom_pmf(n, k, p) for k in range(j))
-    return min(1.0, max(0.0, total))
 
 
 def rank_cdf(n: int, js, p) -> np.ndarray:
@@ -179,8 +116,8 @@ def rank_cdf_inv(n: int, js, s) -> np.ndarray:
 def binom_logpmf(n: int, ks, p) -> np.ndarray:
     """log Pr[X = k] for X ~ Binomial(n, p), broadcast over ks and p; -inf outside 0 <= k <= n.
 
-    The formula of ``log_binom_pmf``: ``xlogy``/``xlog1py`` give 0 * log 0 = 0,
-    so p = 0 and p = 1 need no special case.
+    log C(n, k) + k log p + (n-k) log(1-p) on ``gammaln``; ``xlogy``/``xlog1py``
+    give 0 * log 0 = 0, so p = 0 and p = 1 need no special case.
     """
     ks = np.asarray(ks)
     p = np.asarray(p, dtype=float)
@@ -216,18 +153,6 @@ def poisson_cdf_partial_inv(js, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     return special.gammainccinv(js, np.clip(s, 0.0, 1.0))
-
-
-def poisson_cdf_partial_deriv(lam: float, j: int) -> float:
-    """d/dlam of ``poisson_cdf_partial``: the sum telescopes to a single term."""
-    if j < 1:
-        raise ValueError(f"j must be a positive integer, got {j!r}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    if lam == 0.0:
-        return -1.0 if j == 1 else 0.0
-    log_term = -lam + (j - 1) * math.log(lam) - log_factorial(j - 1)
-    return -math.exp(log_term)
 
 
 def first_descent(

@@ -228,6 +228,8 @@ RECT_INF_DOC = {
     "components": [{"q": [0.0, "inf"], "c": [0.05, 0.3], "weight": 1.0}],
 }
 
+UNIFORM_DOC = {"kind": "uniform_quality", "a": 0.0, "b": 1.0}
+
 
 class TestInputBoundary:
     @pytest.mark.parametrize(
@@ -247,16 +249,26 @@ class TestInputBoundary:
             ["example-obj", "--prize", "nan"],
             ["example-obj", "--prize", "inf"],
             ["compstat", "--n", "1000000", "--prize", "1"],
+            ["design", "--n", "100000000", "--prize", "1e9", "--cost", "1"],
+            ["scan", "--vc-min", "1e7", "--vc-max", "1e7", "--steps", "1"],
+            ["approx", "--dist", "DIST", "--n", "100000000", "--prize", "1"],
+            ["example-obj", "--n", "100000000"],
+            ["approx", "--dist", "UNIFORM_DIST", "--n", "6", "--prize", "1"],
+            ["hetero-eq", "--dist", "UNIFORM_DIST", "--contest", "CONTEST", "--n", "6"],
         ],
         ids=["approx_negative_seed", "example_obj_negative_seed",
              "hetero_eq_negative_seed", "scan_nan_n_factor", "scan_inf_scale",
              "poisson_overflowing_scale", "rect_inf_edge",
              "example_obj_zero_n", "example_obj_n_below_floor_plus_ten",
              "example_obj_n_below_spread", "example_obj_nan_prize",
-             "example_obj_inf_prize", "compstat_population_too_large"],
+             "example_obj_inf_prize", "compstat_population_too_large",
+             "design_population_too_large", "scan_population_too_large",
+             "approx_population_too_large", "example_obj_population_too_large",
+             "approx_quality_marginal", "hetero_eq_quality_marginal"],
     )
     def test_rejected_with_one_line(self, capsys, tmp_path, argv):
-        files = {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC, "INF_DIST": RECT_INF_DOC}
+        files = {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC, "INF_DIST": RECT_INF_DOC,
+                 "UNIFORM_DIST": UNIFORM_DOC}
         for name, doc in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from contest_forge import compstat
 from contest_forge.compstat import (
@@ -237,6 +237,20 @@ class TestClassification:
             for c in costs:
                 assert classify_by_breakpoints(table, c) == looped_classification(table, c), (n, c)
 
+    def test_thresholds_built_once_read_only(self):
+        table = breakpoints(1000, 1.0)
+        first = table.thresholds()
+        assert table.thresholds() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[1] = 0.5
+        fresh = np.array([1.0] + [c for _, _, c in table.entries] + [0.0])
+        np.testing.assert_array_equal(first, fresh)
+        rng = np.random.default_rng(9)
+        for c in rng.uniform(1e-6, 1.0 - 1e-6, 200):
+            j = classify_by_breakpoints(table, c)
+            assert j == int(np.argmax(c >= fresh[1:])) + 1, c
+
     def test_range_gate(self):
         table = breakpoints(5, 1.0)
         with pytest.raises(OutOfRange):
@@ -369,6 +383,24 @@ class TestBoundAudit:
         assert report["tail_band"]["status"] == "pass"
         assert report["pmf_lower"]["status"] == "pass"
         assert report["pmf_upper"]["status"] == "pass"
+
+    def test_tail_and_pmf_match_scipy_on_criterion_07_sweeps(self):
+        # every point of acceptance criterion 07's five unit-stride sweeps
+        # where the tail band is evaluated
+        active = 0
+        for n, p in ((400, 0.2), (1000, 0.1), (2000, 0.05), (4000, 0.1), (4000, 0.3)):
+            for j in range(int(p * n) + 1, n // 2):
+                report = bound_audit(n, p, j)
+                if report["tail_band"]["status"] == "skipped":
+                    continue
+                active += 1
+                np.testing.assert_allclose(
+                    report["tail_band"]["tail"], stats.binom.sf(j - 1, n, p), rtol=1e-11
+                )
+                np.testing.assert_allclose(
+                    report["pmf_upper"]["lhs"], stats.binom.logpmf(j, n, p), rtol=1e-11
+                )
+        assert active >= 10
 
     def test_skip_reasons(self):
         report = bound_audit(100, 0.9, 95)

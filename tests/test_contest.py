@@ -22,6 +22,7 @@ from contest_forge.errors import (
     IndexOutOfRange,
     NegativePrize,
     NotMonotone,
+    PopulationTooLarge,
     ValidationError,
 )
 from contest_forge.numerics import rank_cdf
@@ -67,6 +68,12 @@ class TestPrizeVector:
             make_simple_contest(6, 1.0, 5)
         with pytest.raises(IndexOutOfRange):
             make_simple_contest(0, 1.0, 5)
+
+    def test_simple_contest_population_limit(self):
+        assert make_simple_contest(3, 1.0, 10**6).n == 10**6
+        for n in (10**6 + 1, 10**8):
+            with pytest.raises(PopulationTooLarge, match=f"n = {n} exceeds"):
+                make_simple_contest(1, 1.0, n)
 
 
 class TestExpectedPrize:

@@ -122,10 +122,6 @@ class TestSampleJoint:
         frac = float(np.mean(q >= 20.0))
         assert abs(frac - 0.5) < 3.0 * 0.5 / math.sqrt(100_000)
 
-    def test_scalar_mode(self):
-        q, c = sample_joint(two_cluster(), np.random.default_rng(0))
-        assert np.ndim(q) == 0 and np.ndim(c) == 0
-
 
 class TestLowCostMaxCdf:
     def test_single_rect_closed_form(self):
@@ -191,11 +187,16 @@ class TestDiscretize:
         assert a.n == 50
         np.testing.assert_allclose(a.w, 1.0 / 400.0)
 
-    def test_iid_mode(self):
-        jd = two_cluster()
-        t = discretize(jd, 200, seed=3, stratified=False)
-        assert t.support_size == 200
+    def test_rejects_a_law_without_rectangles(self):
+        for law in (Uniform(0.0, 1.0), EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.5])):
+            with pytest.raises(ValidationError, match="rect_mixture"):
+                discretize(law, 50, 0)
 
+    def test_rejects_a_point_count_that_is_not_a_positive_integer(self):
+        for m in (1.5, 400.0, 0, -3, True, "400", None):
+            with pytest.raises(ValidationError, match="m must be an integer"):
+                discretize(two_cluster(), m, 0)
+        assert discretize(two_cluster(), np.int64(3), 0).support_size == 3
 
     def test_rejects_negative_seed(self):
         jd = RectMixture((RectComponent(0.0, 1.0, 0.0, 0.4, 1.0),))

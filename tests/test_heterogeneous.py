@@ -14,6 +14,7 @@ from contest_forge.distributions import (
     EmpiricalTypes,
     RectComponent,
     RectMixture,
+    Uniform,
     discretize,
 )
 from contest_forge.errors import (
@@ -634,6 +635,10 @@ class TestWtaApproxExperiment:
         assert all({"j", "estimate"} <= row.keys() for row in report["contests"])
         js = [row["j"] for row in report["contests"]]
         assert js == sorted(js) and js[0] == 1
+
+    def test_rejects_a_quality_marginal(self):
+        with pytest.raises(ValidationError, match="not a joint"):
+            wta_approx_experiment(Uniform(0.0, 1.0), 10, 1.0, 50, 2, 0)
 
 
 class TestExampleObj:

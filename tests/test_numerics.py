@@ -11,15 +11,11 @@ import contest_forge
 from contest_forge.errors import BracketFailure, IterationLimit, NonFinite
 from contest_forge.numerics import (
     binom_logpmf,
-    binom_pmf,
-    binom_tail_geq,
     bisect_decreasing,
     find_positive_root_sign_change,
     first_descent,
-    log_binom_pmf,
     log_factorial,
     poisson_cdf_partial,
-    poisson_cdf_partial_deriv,
     poisson_cdf_partial_inv,
     rank_cdf,
     rank_cdf_inv,
@@ -46,9 +42,18 @@ class TestLogFactorial:
             assert base + 2.0 / 3.0 < value <= base + 1.0, n
 
 
+def binom_pmf(n, k, p):
+    """The binomial pmf as the bound audit takes it, exp of the kernel log-pmf."""
+    return np.exp(binom_logpmf(n, k, p))
+
+
+def binom_tail_geq(n, j, p):
+    """Pr[B(n, p) >= j] as the bound audit takes it, 1 - S_j(p) at n+1 agents."""
+    return 1.0 - rank_cdf(n + 1, j, p)
+
+
 class TestBinomPmf:
-    def test_matches_scipy_across_route_switch(self):
-        # the implementation changes route near n = 30
+    def test_matches_scipy_pmf(self):
         rng = np.random.default_rng(42)
         for n in (5, 28, 29, 30, 31, 32, 200, 5000):
             p = float(rng.uniform(0.05, 0.95))
@@ -62,7 +67,7 @@ class TestBinomPmf:
 
     def test_sums_to_one(self):
         for n, p in ((7, 0.3), (40, 0.77), (123, 0.01)):
-            total = math.fsum(binom_pmf(n, k, p) for k in range(n + 1))
+            total = math.fsum(binom_pmf(n, np.arange(n + 1), p))
             np.testing.assert_allclose(total, 1.0, rtol=1e-12)
 
     def test_degenerate_p(self):
@@ -80,7 +85,7 @@ class TestBinomTail:
             j = int(rng.integers(1, n + 1))
             p = float(rng.uniform(0.01, 0.99))
             upper = binom_tail_geq(n, j, p)
-            lower = math.fsum(binom_pmf(n, k, p) for k in range(j))
+            lower = math.fsum(binom_pmf(n, np.arange(j), p))
             np.testing.assert_allclose(upper + lower, 1.0, rtol=0, atol=1e-12)
 
     def test_matches_scipy_sf(self):
@@ -165,13 +170,16 @@ class TestRankCdfInv:
 
 
 class TestBinomLogpmf:
-    def test_matches_scalar_route(self):
-        rng = np.random.default_rng(3)
+    def test_closed_form_edges(self):
+        # p = 0 puts all mass on k = 0 and p = 1 on k = n; k = -1 and k = n + 1
+        # lie outside the support at every p
         for n in (1, 6, 45, 3000):
             ks = np.arange(-1, n + 2)
-            for p in (0.0, float(rng.uniform(0.01, 0.99)), 1.0):
-                scalar = [log_binom_pmf(n, int(k), p) for k in ks]
-                np.testing.assert_allclose(binom_logpmf(n, ks, p), scalar, rtol=1e-12)
+            for p, atom in ((0.0, 0), (1.0, n)):
+                np.testing.assert_array_equal(
+                    binom_logpmf(n, ks, p), np.where(ks == atom, 0.0, -np.inf)
+                )
+            np.testing.assert_array_equal(binom_logpmf(n, [-1, n + 1], 0.37), -np.inf)
 
     def test_matches_scipy_logpmf(self):
         ks = np.arange(0, 301)
@@ -205,20 +213,19 @@ class TestPoissonPartial:
                 )
 
     def test_derivative_central_difference(self):
+        # the partial sum telescopes under d/dlam to -e^-lam lam^(j-1) / (j-1)!
         h = 1e-5
         for lam in (0.2, 0.7, 3.0, 10.0):
             for j in (1, 2, 6):
                 numeric = (
                     poisson_cdf_partial(lam + h, j) - poisson_cdf_partial(lam - h, j)
                 ) / (2 * h)
-                np.testing.assert_allclose(
-                    poisson_cdf_partial_deriv(lam, j), numeric, atol=1e-7
-                )
+                exact = -math.exp(-lam) * lam ** (j - 1) / math.factorial(j - 1)
+                np.testing.assert_allclose(numeric, exact, atol=1e-7)
 
     def test_zero_rate(self):
         assert poisson_cdf_partial(0.0, 3) == 1.0
-        assert poisson_cdf_partial_deriv(0.0, 1) == -1.0
-        assert poisson_cdf_partial_deriv(0.0, 2) == 0.0
+        assert poisson_cdf_partial(0.0, 1) == 1.0
 
 
 class TestPoissonPartialInv:
