@@ -102,6 +102,13 @@ class BreakpointTable:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _negated_lower(self) -> np.ndarray:
+        """[-c_2, ..., -c_n, -c_{n+1}], ascending and read-only, for ``classify_by_breakpoints``."""
+        out = -self._thresholds[1:]
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class PoissonLimit:
@@ -238,7 +245,7 @@ def classify_by_breakpoints(table: BreakpointTable, c: float) -> int:
         raise OutOfRange(f"need 0 < c < V = {table.budget}, got {c!r}")
     # the first j with c >= c_{j+1}; c_2 > ... > c_n > 0 ascend once negated,
     # and side="left" puts c = c_{j+1} at that j
-    return int(np.searchsorted(-table.thresholds()[1:], -c, side="left")) + 1
+    return int(np.searchsorted(table._negated_lower, -c, side="left")) + 1
 
 
 def wta_optimal(n: int, budget: float, c: float) -> bool:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     BudgetExceeded,
@@ -104,6 +105,20 @@ class PrizeVector:
         w = w_transform(self).as_array()
         js = np.flatnonzero(w > 0.0) + 1
         return js, w[js - 1] / js
+
+    @cached_property
+    def _mixture_slope(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(j - 1, n - j - 1, log(w_j / j) - betaln(n - j, j)) over j < n with w_j > 0.
+
+        dS_j/dp = -(1-p)^(n-j-1) p^(j-1) / B(n-j, j), so c'(p) is minus the
+        sum of exp(const + (j-1) log p + (n-j-1) log(1-p)); S_n is 1, so j = n
+        adds no term.
+        """
+        js, coef = self._mixture
+        keep = js < self.n
+        js, coef = js[keep], coef[keep]
+        const = np.log(coef) - special.betaln(self.n - js, js)
+        return (js - 1).astype(float), (self.n - js - 1).astype(float), const
 
 
 @dataclass(frozen=True)

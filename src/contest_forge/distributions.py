@@ -317,8 +317,9 @@ def discretize(jd: RectMixture, m: int, seed, *, n: int | None = None) -> Empiri
     inside each rectangle. Weights are uniform 1/m. Duplicate q values
     (possible with degenerate rectangles) are separated by a deterministic
     jitter of at most 1e-9 of the support width. A law that is not a
-    :class:`RectMixture`, an m that is not an integer >= 1 and an invalid
-    seed raise :class:`ValidationError`.
+    :class:`RectMixture`, an m that is not an integer >= 1 and a seed that
+    is not an integer >= 0 raise :class:`ValidationError`; ``None`` is
+    rejected too, so every support is reproducible from its seed.
     """
     if not isinstance(jd, RectMixture):
         raise ValidationError(
@@ -326,10 +327,9 @@ def discretize(jd: RectMixture, m: int, seed, *, n: int | None = None) -> Empiri
         )
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValidationError(f"m must be an integer >= 1, got {m!r}")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid seed {seed!r}: {exc}") from None
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    rng = np.random.default_rng(seed)
     counts = _stratified_counts(jd._weight_array(), m)
     qs_parts, cs_parts = [], []
     for comp, count in zip(jd.components, counts):

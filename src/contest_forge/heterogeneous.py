@@ -515,7 +515,6 @@ def wta_approx_experiment(
     _check_scalars(n=n, budget=budget)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    seed = int(seed)
     types = _finite_types(jd, discretization, seed, n)
     min_cost = float(types.c.min())
     ratio_cap = budget / min_cost if min_cost > 0.0 else math.inf
@@ -586,7 +585,6 @@ def example_obj(
         )
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"need 0 < eps < 1, got {eps!r}")
-    seed = int(seed)
     V = float(budget)
     j_mid = int(round(V / 2.0))
     # the spread contest pays j_mid ranks and floor_plus_ten pays 11

@@ -23,6 +23,17 @@ the breakpoint cost c_j, and the breakpoints are ordered c_2 > c_3 > ...
 the rate p_j is unimodal in j: it rises up to the j with c in
 [c_{j+1}, c_j] and falls after. ``optimal_contest`` finds j* as the first
 descent of p_j, with the same search (``numerics.first_descent``) as y_j.
+
+A general contest's rate solves c(p) = c, with c(p) the rank-gap mixture
+sum_{w_j > 0} (w_j / j) S_j(p). ``participation_rate`` takes safeguarded
+Newton steps on the sign bracket [0, 1], with values from
+``expected_prize`` and the slope in closed form: for j < n
+
+    dS_j/dp = -(1-p)^(n-j-1) p^(j-1) / B(n-j, j),
+
+and S_n = 1 has none. A step costs one curve evaluation and one sum of
+exponentials over constants cached per contest; about 6 steps meet the
+residual contract where bisection took about 30.
 """
 
 from __future__ import annotations
@@ -34,14 +45,8 @@ import numpy as np
 
 from .contest import PrizeVector, expected_prize, make_simple_contest
 from .distributions import QualityDistribution, quantile
-from .errors import InvalidCost, OutOfRange, PopulationTooLarge
-from .numerics import (
-    _TIE_TOL,
-    bisect_decreasing,
-    first_descent,
-    rank_cdf,
-    rank_cdf_inv,
-)
+from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
+from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
 __all__ = [
     "ThresholdEquilibrium",
@@ -58,6 +63,8 @@ __all__ = [
 
 FULL_PARTICIPATION = "full_participation"
 ZERO_PARTICIPATION = "zero_participation"
+# Newton-or-bisection steps participation_rate takes before IterationLimit
+_MAX_RATE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,17 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
 
     Returns (p, flag): flag is ``zero_participation`` when c exceeds the top
     prize, ``full_participation`` when c is below the last prize, else None
-    with residual |c(p) - c| <= 1e-10 * max(V, c).
+    with residual |c(p) - c| <= 1e-10 * max(V, c), c(p) taken from
+    ``expected_prize``. A c within that tolerance of v_1 or v_n returns 0 or 1.
+
+    Interior costs are solved by Newton's method on [0, 1] from p = 0.5 with
+    the slope of the mixture, c'(p) = -sum_{w_j > 0, j < n} (w_j / j)
+    (1-p)^(n-j-1) p^(j-1) / B(n-j, j), whose constants are cached per
+    contest. Each step narrows the sign bracket of c(p) - c; a Newton step
+    that does not land strictly inside it, or a slope that is not finite and
+    negative, is replaced by the bracket midpoint. Raises
+    :class:`IterationLimit` after 200 steps, or sooner if the bracket closes
+    to adjacent floats first.
     """
     _check_scalars(c=c)
     v_top = contest.values[0]
@@ -102,8 +119,34 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     if c < v_bottom:
         return 1.0, FULL_PARTICIPATION
     tol = 1e-10 * max(contest.budget, c)
-    result = bisect_decreasing(lambda p: expected_prize(contest, p), c, 0.0, 1.0, tol)
-    return result.root, None
+    if abs(v_top - c) <= tol:
+        return 0.0, None
+    if abs(v_bottom - c) <= tol:
+        return 1.0, None
+    a, b, const = contest._mixture_slope
+    lo, hi = 0.0, 1.0  # c(lo) > c > c(hi)
+    p = 0.5
+    for _ in range(_MAX_RATE_STEPS):
+        gap = expected_prize(contest, p) - c
+        if not math.isfinite(gap):
+            raise NonFinite(f"c({p}) = {gap + c}")
+        if abs(gap) <= tol:
+            return p, None
+        if gap > 0.0:
+            lo = p
+        else:
+            hi = p
+        # p lies strictly inside [lo, hi] within [0, 1], so both logs are finite
+        slope = -float(np.exp(const + a * math.log(p) + b * math.log1p(-p)).sum())
+        if math.isfinite(slope) and slope < 0.0 and lo < p - gap / slope < hi:
+            p -= gap / slope
+        else:
+            p = 0.5 * (lo + hi)
+            if not lo < p < hi:  # the bracket is down to adjacent floats
+                break
+    raise IterationLimit(
+        f"participation rate did not reach |c(p) - c| <= {tol} within {_MAX_RATE_STEPS} steps"
+    )
 
 
 def equilibrium_threshold(

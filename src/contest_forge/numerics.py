@@ -199,7 +199,8 @@ def bisect_decreasing(
     ``saturated_low`` set; targets below f(hi) return hi with
     ``saturated_high``. Raises :class:`NonFinite` if f produces a non-finite
     value and :class:`IterationLimit` after 200 bisection steps without
-    meeting the residual tolerance.
+    meeting the residual tolerance. No solver in the package calls it; it is
+    the reference the tests check ``participation_rate`` against.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")

@@ -251,6 +251,20 @@ class TestClassification:
             j = classify_by_breakpoints(table, c)
             assert j == int(np.argmax(c >= fresh[1:])) + 1, c
 
+    def test_negated_view_built_once_read_only(self):
+        table = breakpoints(1000, 1.0)
+        classify_by_breakpoints(table, 0.5)
+        view = table.__dict__["_negated_lower"]
+        # every exact threshold c_2..c_n, where ties go to the smaller j
+        for _, _, c in table.entries:
+            assert classify_by_breakpoints(table, c) == looped_classification(table, c), c
+        assert table.__dict__["_negated_lower"] is view
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+        np.testing.assert_array_equal(view, -table.thresholds()[1:])
+        assert np.all(np.diff(view) > 0.0)
+
     def test_range_gate(self):
         table = breakpoints(5, 1.0)
         with pytest.raises(OutOfRange):

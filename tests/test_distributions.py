@@ -204,6 +204,19 @@ class TestDiscretize:
             with pytest.raises(ValidationError):
                 discretize(jd, 10, seed)
 
+    @pytest.mark.parametrize("seed", [None, "x", 1.7, True, -1], ids=repr)
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        jd = RectMixture((RectComponent(0.0, 1.0, 0.0, 0.4, 1.0),))
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            discretize(jd, 10, seed)
+
+    def test_accepts_a_numpy_integer_seed(self):
+        jd = RectMixture((RectComponent(0.0, 1.0, 0.0, 0.4, 1.0),))
+        a = discretize(jd, 10, np.int64(7))
+        b = discretize(jd, 10, 7)
+        np.testing.assert_array_equal(a.q, b.q)
+        np.testing.assert_array_equal(a.c, b.c)
+
 
 class TestSerialization:
     def test_round_trips(self):

@@ -50,6 +50,10 @@ TWO_POINT = EmpiricalTypes(q=[2.0, 1.0], c=[0.3, 0.3], w=[0.5, 0.5], n=2)
 WTA2 = make_simple_contest(1, 1.0, 2)
 
 
+# seeds discretize rejects: not integers, a bool, or negative
+BAD_SEEDS = (None, "x", 1.7, True, -1)
+
+
 def random_types(rng, size, n, c_hi=1.0):
     q = rng.uniform(0.0, 1.0, size=size)
     q += np.arange(size) * 1e-9  # distinct qualities
@@ -640,6 +644,12 @@ class TestWtaApproxExperiment:
         with pytest.raises(ValidationError, match="not a joint"):
             wta_approx_experiment(Uniform(0.0, 1.0), 10, 1.0, 50, 2, 0)
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        jd = RectMixture((RectComponent(0.0, 1.0, 0.2, 0.9, 1.0),))
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            wta_approx_experiment(jd, 6, 1.0, 40, 2, seed)
+
 
 class TestExampleObj:
     def test_small_scale_all_checks(self):
@@ -663,3 +673,8 @@ class TestExampleObj:
     def test_non_finite_budget(self, budget):
         with pytest.raises(ValidationError, match="budget must be positive and finite"):
             example_obj(budget, 500, 0.01, seed=0)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            example_obj(160.0, 200, 0.01, seed=seed, m=40)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from contest_forge import homogeneous
 from contest_forge.contest import PrizeVector, expected_prize, make_simple_contest
 from contest_forge.distributions import PiecewiseLinearCDF, Uniform, cdf
 from contest_forge.errors import (
     InvalidCost,
+    IterationLimit,
     OutOfRange,
     PopulationTooLarge,
     ValidationError,
@@ -23,7 +25,7 @@ from contest_forge.homogeneous import (
     optimal_prize_count,
     participation_rate,
 )
-from contest_forge.numerics import rank_cdf, rank_cdf_inv
+from contest_forge.numerics import bisect_decreasing, rank_cdf, rank_cdf_inv
 from test_contest import random_contest
 
 UNIFORM = Uniform(0.0, 1.0)
@@ -77,6 +79,151 @@ class TestParticipationRate:
             cs = np.linspace(v.values[-1] + 1e-4, v.values[0] - 1e-4, 9)
             ps = [participation_rate(v, float(c))[0] for c in cs]
             assert all(a >= b - 1e-9 for a, b in zip(ps, ps[1:]))
+
+
+def rate_contract(contest, c, p):
+    """|c(p) - c| / max(V, c): participation_rate promises at most 1e-10."""
+    return abs(expected_prize(contest, p) - c) / max(contest.budget, c)
+
+
+def bisected_rate(contest, c):
+    """The participation rate by bisection on expected_prize, the route it replaced."""
+    tol = 1e-10 * max(contest.budget, c)
+    return bisect_decreasing(lambda p: expected_prize(contest, p), c, 0.0, 1.0, tol).root
+
+
+def desk_contest(rng, n):
+    """A design-desk-like query: the budget over the top k ranks, cost inside (v_n, v_1)."""
+    budget = float(np.exp(rng.uniform(0.0, math.log(100.0))))
+    k = int(rng.integers(2, n + 1))
+    raw = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
+    values = tuple(float(v) for v in raw * budget / raw.sum()) + (0.0,) * (n - k)
+    contest = PrizeVector(values, budget)
+    c = values[-1] + float(rng.uniform(0.01, 0.99)) * (values[0] - values[-1])
+    return contest, c
+
+
+class TestNewtonRate:
+    """participation_rate's Newton route, with the bisection as its oracle.
+
+    Flat stretches of c(p) let the two routes differ by about 1e-8 in p while
+    both meet the contract, so the contract is what is pinned.
+    """
+
+    def test_random_general_contests_meet_the_contract(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(2, 61))
+            contest, c = desk_contest(rng, n)
+            p, flag = participation_rate(contest, c)
+            assert flag is None
+            assert rate_contract(contest, c, p) <= 1e-10, (n, c)
+            assert rate_contract(contest, c, bisected_rate(contest, c)) <= 1e-10
+
+    def test_costs_just_inside_the_end_prizes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 61))
+            contest, _ = desk_contest(rng, n)
+            top, bottom = contest.values[0], contest.values[-1]
+            for gap in (1e-9, 1e-6, 1e-3):
+                for c in (top - gap * (top - bottom), bottom + gap * (top - bottom)):
+                    p, flag = participation_rate(contest, c)
+                    assert flag is None
+                    assert rate_contract(contest, c, p) <= 1e-10, (n, c)
+
+    def test_last_rank_weight_adds_no_slope_term(self):
+        # every rank pays, so w_n > 0 and the mixture holds S_n = 1
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 7, 40):
+            for _ in range(10):
+                contest = random_contest(rng, n, exhaust=True)
+                top, bottom = contest.values[0], contest.values[-1]
+                c = bottom + float(rng.uniform(0.01, 0.99)) * (top - bottom)
+                p, flag = participation_rate(contest, c)
+                assert flag is None
+                assert rate_contract(contest, c, p) <= 1e-10, (n, c)
+                assert rate_contract(contest, c, bisected_rate(contest, c)) <= 1e-10
+        # only w_1 and w_n are positive: c(p) = (v_1 - v_n) S_1(p) + v_n
+        contest = PrizeVector((0.5,) + (0.1,) * 5, 1.0)
+        p, _ = participation_rate(contest, 0.3)
+        np.testing.assert_allclose(p, 1.0 - 0.5 ** (1.0 / 5.0), rtol=1e-9)
+
+    def test_slope_constants_give_the_derivative(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 5, 30):
+            contest = random_contest(rng, n, exhaust=True)
+            a, b, const = contest._mixture_slope
+            for p in (0.05, 0.3, 0.7, 0.95):
+                slope = -np.exp(const + a * math.log(p) + b * math.log1p(-p)).sum()
+                h = 1e-6
+                fd = (expected_prize(contest, p + h) - expected_prize(contest, p - h)) / (2 * h)
+                np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_simple_contests_at_large_n(self, n):
+        # the contests participation_floor_audit solves: budget V/c = n/3
+        vc = n / 3.0
+        for j in (1, int(vc / 2), int(math.floor(vc - math.sqrt(vc)))):
+            contest = make_simple_contest(j, vc, n)
+            p, flag = participation_rate(contest, 1.0)
+            assert flag is None
+            assert rate_contract(contest, 1.0, p) <= 1e-10, j
+            exact = float(rank_cdf_inv(n, j, j / vc))
+            np.testing.assert_allclose(p, exact, rtol=1e-6)
+
+    def test_deep_tail_cost(self):
+        # S_j(p) = 1e-9 j of a few prizes is far down its tail
+        c = 1e-9
+        for n, j in ((60, 1), (60, 3), (500, 10)):
+            contest = make_simple_contest(j, 1.0, n)
+            p, flag = participation_rate(contest, c)
+            assert flag is None
+            assert rate_contract(contest, c, p) <= 1e-10, (n, j)
+            assert expected_prize(contest, p) > 0.0
+        # a winner's prize over a dust of runner-up prizes, cost in the dust
+        contest = PrizeVector((1.0 - 59e-9,) + (1e-9,) * 59, 1.0)
+        p, _ = participation_rate(contest, 2e-9)
+        assert rate_contract(contest, 2e-9, p) <= 1e-10
+
+    def test_median_steps_on_design_desk_contests(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        queries = [desk_contest(rng, int(rng.integers(5, 61))) for _ in range(300)]
+        calls = []
+
+        def counted(contest, p):
+            calls.append(p)
+            return expected_prize(contest, p)
+
+        monkeypatch.setattr(homogeneous, "expected_prize", counted)
+        steps = []
+        for contest, c in queries:
+            before = len(calls)
+            p, _ = participation_rate(contest, c)
+            steps.append(len(calls) - before)
+            assert calls[-1] == p
+        assert np.median(steps) <= 8, np.median(steps)
+        assert max(steps) <= 20, max(steps)
+
+    def test_step_cap_raises_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(homogeneous, "_MAX_RATE_STEPS", 2)
+        contest = PrizeVector((0.5, 0.3, 0.2), 1.0)
+        with pytest.raises(IterationLimit):
+            participation_rate(contest, 0.31)
+
+    def test_closed_bracket_raises_iteration_limit(self, monkeypatch):
+        # a curve that jumps over the cost at p = 0.3 has no root to find
+        calls = []
+
+        def jump(_, p):
+            calls.append(p)
+            return 0.9 - p if p < 0.3 else 0.5 - p
+
+        monkeypatch.setattr(homogeneous, "expected_prize", jump)
+        with pytest.raises(IterationLimit):
+            participation_rate(make_simple_contest(1, 1.0, 2), 0.5)
+        assert 0.0 < min(calls) and max(calls) < 1.0
+        assert len(calls) < 200
 
 
 class TestEquilibriumThreshold:
