@@ -12,7 +12,6 @@ opponent independently enters-and-beats her with probability p.
 import numpy as np
 
 from contest_forge import (
-    PrizeVector,
     breakpoints,
     classify_by_breakpoints,
     equilibrium_threshold,
@@ -20,6 +19,7 @@ from contest_forge import (
     expected_prize_curve,
     make_simple_contest,
     optimal_contest,
+    validate_contest,
 )
 from contest_forge.distributions import Uniform
 
@@ -29,7 +29,7 @@ uniform = Uniform(0.0, 1.0)
 
 # A hand-rolled schedule and its curve. The curve starts at v_1 (no
 # competition) and falls to v_n (beaten by everyone).
-contest = PrizeVector((0.5, 0.3, 0.2, 0.0, 0.0), budget)
+contest = validate_contest((0.5, 0.3, 0.2, 0.0, 0.0), budget)
 for p in (0.0, 0.25, 0.5, 0.75, 1.0):
     print(f"c_M({p:.2f}) = {expected_prize(contest, p):.4f}")
 

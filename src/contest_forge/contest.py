@@ -15,15 +15,17 @@ split the budget equally among the top j ranks:
 
     c(p) = sum_{w_j > 0} (w_j / j) * S_j(p),   S_j(p) = Pr[B(n-1, p) <= j-1]
 
-Both ``expected_prize`` and ``expected_prize_curve`` evaluate this mixture
-through the binomial kernel ``numerics.rank_cdf``; the weights are computed
-once per prize vector. The test suite checks both against a rank-probability
-dot product computed independently.
+A :class:`PrizeVector` stores this mixture, so a simple contest is one term
+at any n, and builds the n prizes only when they are read. Both
+``expected_prize`` and ``expected_prize_curve`` evaluate the mixture through
+the binomial kernel ``numerics.rank_cdf``; the test suite checks both against
+a rank-probability dot product computed independently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,48 +65,59 @@ _BUDGET_SLACK = 1e-9
 _MAX_RANKS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrizeVector:
-    """Validated prize schedule. ``values[j-1]`` is the prize for rank j."""
+    """Validated prize schedule over ``n`` ranks, stored as its rank-gap mixture.
 
-    values: tuple[float, ...]
+    ``ranks`` are the ascending ranks j with w_j > 0 and ``weights`` those
+    w_j; every other rank has w_j = 0. ``values[j-1]``, the prize for rank j,
+    is a view built on first read. Two contests are equal when their budgets
+    and prizes are. Build one from prizes with :func:`validate_contest`.
+    """
+
+    n: int
     budget: float
+    ranks: tuple[int, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.budget <= 0.0 or not math.isfinite(self.budget):
+        if not (math.isfinite(self.budget) and self.budget > 0.0):
             raise BudgetExceeded(f"budget must be positive and finite, got {self.budget!r}")
-        if len(self.values) == 0:
-            raise IndexOutOfRange("a contest needs at least one rank")
-        for j, v in enumerate(self.values, start=1):
-            if not math.isfinite(v):
-                raise NegativePrize(f"prize at rank {j} is not finite: {v!r}")
-            if v < -_SLACK:
-                raise NegativePrize(f"prize at rank {j} is negative: {v!r}")
-            if j > 1 and v > self.values[j - 2] + _SLACK:
-                raise NotMonotone(j)
-        total = math.fsum(self.values)
+        ranks, weights = tuple(self.ranks), tuple(self.weights)
+        js = np.array(ranks)
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1
+                and len(ranks) == len(weights) and (not ranks or js.dtype.kind in "iu")
+                and all(map(operator.lt, (0,) + ranks, ranks + (self.n + 1,)))):
+            raise IndexOutOfRange(f"need integers n >= 1 and ranks rising in 1..n; n={self.n!r}")
+        # min alone misses a NaN that is not first, but fsum then returns NaN
+        if not (min(weights, default=1.0) > 0.0 and math.isfinite(total := math.fsum(weights))):
+            raise NegativeWeight("mixture weights must be finite and positive")
         if total > self.budget * (1.0 + _BUDGET_SLACK):
-            raise BudgetExceeded(
-                f"prizes sum to {total}, exceeding budget {self.budget}"
-            )
+            raise BudgetExceeded(f"prizes sum to {total}, exceeding budget {self.budget}")
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "weights", weights)
+        # the ranks j with w_j > 0 and their coefficients w_j / j in the curve mixture
+        js = js.astype(np.intp)
+        object.__setattr__(self, "_mixture", (js, np.array(weights, dtype=float) / js))
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
+    def __eq__(self, other):
+        return (isinstance(other, PrizeVector) and self.budget == other.budget
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.values, self.budget))
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        """v_j = sum_{k>=j} w_k / k, summed from rank n upward."""
+        js, coef = self._mixture
+        dense = np.zeros(self.n)
+        dense[js - 1] = coef
+        return tuple(np.cumsum(dense[::-1])[::-1].tolist())
 
     @property
     def total(self) -> float:
-        return math.fsum(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    @cached_property
-    def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ranks j with w_j > 0 and their coefficients w_j / j in the curve mixture."""
-        w = w_transform(self).as_array()
-        js = np.flatnonzero(w > 0.0) + 1
-        return js, w[js - 1] / js
+        return math.fsum(self.weights)
 
     @cached_property
     def _mixture_slope(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,8 +128,9 @@ class PrizeVector:
         adds no term.
         """
         js, coef = self._mixture
-        keep = js < self.n
-        js, coef = js[keep], coef[keep]
+        # ranks ascend, so only the last can be n; slices copy nothing
+        terms = len(js) - (len(js) > 0 and js[-1] == self.n)
+        js, coef = js[:terms], coef[:terms]
         const = np.log(coef) - special.betaln(self.n - js, js)
         return (js - 1).astype(float), (self.n - js - 1).astype(float), const
 
@@ -126,13 +140,6 @@ class WTransform:
     """Rank-gap weights w_j = j * (v_j - v_{j+1}); sum w_j equals sum v_j."""
 
     weights: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -145,40 +152,43 @@ class SimpleLottery:
     def __post_init__(self):
         total = math.fsum(self.probabilities)
         if abs(total - 1.0) > 1e-12:
-            raise BudgetNotExhausted(
-                f"lottery probabilities sum to {total}, expected 1"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.probabilities)
+            raise BudgetNotExhausted(f"lottery probabilities sum to {total}, expected 1")
 
 
 def validate_contest(values, budget: float) -> PrizeVector:
-    """Coerce and validate a prize schedule.
+    """The contest paying ``values``, which it keeps as its ``values``.
 
-    Raises :class:`NegativePrize`, :class:`NotMonotone` (with the 1-based
-    offending rank), or :class:`BudgetExceeded`. Monotonicity and sign use
-    absolute slack 1e-12; the budget check allows 1e-9 relative slack.
+    One pass over the prizes collects the positive weights
+    w_j = j * (v_j - v_{j+1}) and raises :class:`NegativePrize` or
+    :class:`NotMonotone` (with the 1-based rank) at the first bad prize, with
+    absolute slack 1e-12. :class:`PrizeVector` then checks the budget.
     """
-    return PrizeVector(tuple(float(v) for v in values), float(budget))
+    values = tuple(map(float, values))
+    ranks, weights = [], []
+    for j, (v, below) in enumerate(zip(values, values[1:] + (0.0,)), start=1):
+        if not -_SLACK <= v < math.inf:
+            raise NegativePrize(f"prize at rank {j} is negative or not finite: {v!r}")
+        if v > below:
+            ranks.append(j)
+            weights.append(j * (v - below))
+        elif v + _SLACK < below < math.inf:  # an infinite v_{j+1} fails its sign check
+            raise NotMonotone(j + 1)
+    contest = PrizeVector(len(values), float(budget), ranks, weights)
+    contest.__dict__["values"] = values
+    return contest
 
 
 def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
-    """Top-j equal split: j prizes of budget/j, zeros below.
+    """Top-j equal split M^j: j prizes of budget/j, zeros below.
 
-    The prize vector holds all n ranks, and building and validating it takes
-    about 0.2 s at n = 10^6 (2 s at 10^7), so n above 10^6 raises
-    :class:`PopulationTooLarge`; the Poisson limit covers larger populations.
+    M^j is the one-term mixture w_j = budget, built in the same time at any
+    n. n above 10^6 raises :class:`PopulationTooLarge`: ``design`` prints
+    every prize, and the kernel's relative error grows like (n - 1) eps. The
+    Poisson limit covers larger populations.
     """
     if n > _MAX_RANKS:
-        raise PopulationTooLarge(
-            f"n = {n} exceeds the largest supported contest {_MAX_RANKS}"
-        )
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"need 1 <= j <= n, got j={j}, n={n}")
-    prize = float(budget) / j
-    return PrizeVector((prize,) * j + (0.0,) * (n - j), float(budget))
+        raise PopulationTooLarge(f"n = {n} exceeds the largest supported contest {_MAX_RANKS}")
+    return PrizeVector(n, float(budget), (j,), (float(budget),))
 
 
 def expected_prize(contest: PrizeVector, p: float) -> float:
@@ -205,33 +215,25 @@ def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
 
 def w_transform(contest: PrizeVector) -> WTransform:
     """Weights w_j = j * (v_j - v_{j+1}) with v_{n+1} = 0; nonnegative by monotonicity."""
-    v = contest.values
-    n = len(v)
-    weights = tuple(
-        j * (v[j - 1] - (v[j] if j < n else 0.0)) for j in range(1, n + 1)
-    )
-    return WTransform(weights)
+    w = np.zeros(contest.n)
+    w[contest._mixture[0] - 1] = contest.weights
+    return WTransform(tuple(w.tolist()))
 
 
 def w_inverse(weights, budget: float | None = None) -> PrizeVector:
-    """Rebuild the prize schedule from rank-gap weights: v_j = sum_{k>=j} w_k / k.
+    """The contest with rank-gap weights ``weights``: v_j = sum_{k>=j} w_k / k.
 
-    Weights must be nonnegative (slack 1e-12, :class:`NegativeWeight`). When
-    ``budget`` is omitted the schedule's own total (= sum of weights) is used.
+    Weights must be finite and nonnegative (slack 1e-12,
+    :class:`NegativeWeight`); those at or below zero add no term. The budget
+    defaults to the total of the weights, which is the sum of the prizes.
     """
-    w = [float(x) for x in weights]
-    for j, x in enumerate(w, start=1):
-        if x < -_SLACK:
-            raise NegativeWeight(f"weight at rank {j} is negative: {x!r}")
-    n = len(w)
-    values = [0.0] * n
-    acc = 0.0
-    for j in range(n, 0, -1):
-        acc += max(w[j - 1], 0.0) / j
-        values[j - 1] = acc
-    if budget is None:
-        budget = math.fsum(values)
-    return PrizeVector(tuple(values), float(budget))
+    w = np.array(weights, dtype=float, ndmin=1)
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= -_SLACK)))
+    if bad.size:
+        raise NegativeWeight(f"weight at rank {bad[0] + 1} is negative or not finite")
+    js = np.flatnonzero(w > 0.0) + 1
+    budget = math.fsum(w[js - 1]) if budget is None else budget
+    return PrizeVector(w.size, float(budget), js.tolist(), w[js - 1].tolist())
 
 
 def lottery_decomposition(contest: PrizeVector) -> SimpleLottery:
@@ -243,13 +245,11 @@ def lottery_decomposition(contest: PrizeVector) -> SimpleLottery:
     """
     total = contest.total
     if abs(total - contest.budget) > _BUDGET_SLACK * contest.budget:
-        raise BudgetNotExhausted(
-            f"prizes sum to {total}, budget is {contest.budget}; "
-            "the lottery decomposition needs an exhausted budget"
-        )
-    w = w_transform(contest).weights
-    probs = tuple(max(x, 0.0) / total for x in w)
-    return SimpleLottery(probs, contest.budget)
+        raise BudgetNotExhausted(f"prizes sum to {total}, budget is {contest.budget}; "
+                                 "the lottery decomposition needs an exhausted budget")
+    probs = np.zeros(contest.n)
+    probs[contest._mixture[0] - 1] = np.divide(contest.weights, total)
+    return SimpleLottery(tuple(probs.tolist()), contest.budget)
 
 
 def contest_to_dict(contest: PrizeVector) -> dict:
@@ -258,8 +258,6 @@ def contest_to_dict(contest: PrizeVector) -> dict:
 
 def contest_from_dict(doc: dict) -> PrizeVector:
     try:
-        budget = doc["budget"]
-        values = doc["values"]
-        return validate_contest(values, budget)
+        return validate_contest(doc["values"], doc["budget"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed contest document: {exc}") from exc

@@ -45,6 +45,18 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 
+def _unit_interval(u):
+    """``u`` checked to lie in [0, 1], NaN excluded: a float for a scalar, else an array."""
+    if isinstance(u, (int, float)):
+        if 0.0 <= u <= 1.0:
+            return float(u)
+    else:
+        u = np.asarray(u, dtype=float)
+        if ((u >= 0.0) & (u <= 1.0)).all():
+            return u
+    raise ValidationError("quantile argument outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Uniform quality on [a, b), a < b."""
@@ -60,10 +72,7 @@ class Uniform:
         return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u > 1.0):
-            raise ValidationError("quantile argument outside [0, 1]")
-        return self.a + u * (self.b - self.a)
+        return self.a + _unit_interval(u) * (self.b - self.a)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -85,6 +94,8 @@ class PiecewiseLinearCDF:
             raise ValidationError("need at least two knots")
         qs = [k[0] for k in self.knots]
         us = [k[1] for k in self.knots]
+        if not all(map(math.isfinite, qs + us)):
+            raise ValidationError(f"knots must be finite, got {self.knots!r}")
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise ValidationError("knot qualities must be strictly increasing")
         if any(b <= a for a, b in zip(us, us[1:])):
@@ -101,9 +112,7 @@ class PiecewiseLinearCDF:
         return np.interp(np.asarray(x, dtype=float), qs, us, left=0.0, right=1.0)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u > 1.0):
-            raise ValidationError("quantile argument outside [0, 1]")
+        u = _unit_interval(u)
         qs, us = self._arrays()
         return np.interp(u, us, qs)
 
@@ -124,7 +133,7 @@ def cdf(qd: QualityDistribution, x):
 def quantile(qd: QualityDistribution, u):
     """F^{-1}(u): right inverse of cdf; endpoints map to support endpoints."""
     out = qd.quantile(u)
-    return float(out) if np.ndim(u) == 0 else out
+    return float(out) if isinstance(out, float) or np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,8 @@ class EmpiricalTypes:
             raise ValidationError("q, c, w must be 1-d arrays of equal length")
         if self.q.size == 0:
             raise ValidationError("empty support")
+        if not np.isfinite(np.stack((self.q, self.c, self.w))).all():
+            raise ValidationError("support qualities, costs and weights must be finite")
         if np.any(self.w <= 0.0):
             raise ValidationError("support weights must be positive")
         if abs(math.fsum(self.w.tolist()) - 1.0) > _WEIGHT_TOL:

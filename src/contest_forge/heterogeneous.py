@@ -35,6 +35,7 @@ from .contest import (
     expected_prize_curve,
     lottery_decomposition,
     make_simple_contest,
+    validate_contest,
 )
 from .distributions import (
     EmpiricalTypes,
@@ -619,19 +620,19 @@ def example_obj(
     top_heavy: list[tuple[str, PrizeVector]] = [("wta", wta)]
     rest = V - v1_floor
     top_heavy.append(
-        ("floor_plus_one", PrizeVector((v1_floor, rest) + (0.0,) * (n - 2), V))
+        ("floor_plus_one", validate_contest((v1_floor, rest) + (0.0,) * (n - 2), V))
     )
     top_heavy.append(
         (
             "floor_plus_ten",
-            PrizeVector((v1_floor,) + (rest / 10.0,) * 10 + (0.0,) * (n - 11), V),
+            validate_contest((v1_floor,) + (rest / 10.0,) * 10 + (0.0,) * (n - 11), V),
         )
     )
     v1_mid = 0.95 * V
     top_heavy.append(
         (
             "mid_plus_two",
-            PrizeVector((v1_mid,) + ((V - v1_mid) / 2.0,) * 2 + (0.0,) * (n - 3), V),
+            validate_contest((v1_mid,) + ((V - v1_mid) / 2.0,) * 2 + (0.0,) * (n - 3), V),
         )
     )
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contest import PrizeVector, expected_prize, make_simple_contest
+from .contest import PrizeVector, expected_prize, make_simple_contest, validate_contest
 from .distributions import QualityDistribution, quantile
 from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
 from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
@@ -267,7 +267,7 @@ def brute_force_design_check(
     best_grid_values: tuple[float, ...] = ()
     for partition in _partitions(K, n, K):
         values = tuple(budget * k / K for k in partition)
-        contest = PrizeVector(values, budget)
+        contest = validate_contest(values, budget)
         p, _ = participation_rate(contest, c)
         if p > best_grid_p:
             best_grid_p = p

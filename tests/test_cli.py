@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -231,6 +232,16 @@ RECT_INF_DOC = {
 UNIFORM_DOC = {"kind": "uniform_quality", "a": 0.0, "b": 1.0}
 
 
+def knots_doc(bad):
+    """A piecewise CDF whose last knot quality is ``bad`` (written as NaN or Infinity)."""
+    return {"kind": "piecewise_cdf", "knots": [[0.0, 0.0], [0.5, 0.5], [bad, 1.0]]}
+
+
+def points_doc(bad):
+    """A finite support whose first quality is ``bad`` (written as NaN or Infinity)."""
+    return {"kind": "empirical", "points": [[bad, 0.1, 0.5], [0.5, 0.2, 0.5]]}
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv",
@@ -255,6 +266,12 @@ class TestInputBoundary:
             ["example-obj", "--n", "100000000"],
             ["approx", "--dist", "UNIFORM_DIST", "--n", "6", "--prize", "1"],
             ["hetero-eq", "--dist", "UNIFORM_DIST", "--contest", "CONTEST", "--n", "6"],
+            ["design", "--n", "5", "--prize", "1", "--cost", "0.4", "--dist", "NAN_KNOTS"],
+            ["design", "--n", "5", "--prize", "1", "--cost", "0.4", "--dist", "INF_KNOTS"],
+            ["approx", "--dist", "NAN_POINTS", "--n", "6", "--prize", "1"],
+            ["approx", "--dist", "INF_POINTS", "--n", "6", "--prize", "1"],
+            ["hetero-eq", "--dist", "NAN_POINTS", "--contest", "CONTEST", "--n", "6"],
+            ["hetero-eq", "--dist", "INF_POINTS", "--contest", "CONTEST", "--n", "6"],
         ],
         ids=["approx_negative_seed", "example_obj_negative_seed",
              "hetero_eq_negative_seed", "scan_nan_n_factor", "scan_inf_scale",
@@ -264,11 +281,15 @@ class TestInputBoundary:
              "example_obj_inf_prize", "compstat_population_too_large",
              "design_population_too_large", "scan_population_too_large",
              "approx_population_too_large", "example_obj_population_too_large",
-             "approx_quality_marginal", "hetero_eq_quality_marginal"],
+             "approx_quality_marginal", "hetero_eq_quality_marginal",
+             "design_nan_knot", "design_inf_knot", "approx_nan_support",
+             "approx_inf_support", "hetero_eq_nan_support", "hetero_eq_inf_support"],
     )
     def test_rejected_with_one_line(self, capsys, tmp_path, argv):
         files = {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC, "INF_DIST": RECT_INF_DOC,
-                 "UNIFORM_DIST": UNIFORM_DOC}
+                 "UNIFORM_DIST": UNIFORM_DOC, "NAN_KNOTS": knots_doc(math.nan),
+                 "INF_KNOTS": knots_doc(math.inf), "NAN_POINTS": points_doc(math.nan),
+                 "INF_POINTS": points_doc(math.inf)}
         for name, doc in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv]

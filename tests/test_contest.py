@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,15 +17,19 @@ from contest_forge.contest import (
     w_inverse,
     w_transform,
 )
+from contest_forge.distributions import EmpiricalTypes, Uniform
 from contest_forge.errors import (
     BudgetExceeded,
     BudgetNotExhausted,
     IndexOutOfRange,
     NegativePrize,
+    NegativeWeight,
     NotMonotone,
     PopulationTooLarge,
     ValidationError,
 )
+from contest_forge.heterogeneous import equilibrium
+from contest_forge.homogeneous import c_star, optimal_contest
 from contest_forge.numerics import rank_cdf
 
 
@@ -36,30 +41,30 @@ def random_contest(rng, n, budget=1.0, exhaust=False):
         scale = budget / total
     else:
         scale = budget * rng.uniform(0.2, 1.0) / total
-    return PrizeVector(tuple(float(v * scale) for v in raw), budget)
+    return validate_contest(tuple(float(v * scale) for v in raw), budget)
 
 
 class TestPrizeVector:
     def test_accepts_valid(self):
-        v = PrizeVector((0.5, 0.3, 0.2), 1.0)
+        v = validate_contest((0.5, 0.3, 0.2), 1.0)
         assert v.n == 3
         np.testing.assert_allclose(v.total, 1.0)
 
     def test_rejects_increase(self):
         with pytest.raises(NotMonotone) as err:
-            PrizeVector((0.2, 0.5, 0.1), 1.0)
+            validate_contest((0.2, 0.5, 0.1), 1.0)
         assert err.value.index == 2
 
     def test_rejects_negative(self):
         with pytest.raises(NegativePrize):
-            PrizeVector((0.5, -0.2), 1.0)
+            validate_contest((0.5, -0.2), 1.0)
 
     def test_tolerates_tiny_negative(self):
-        PrizeVector((0.5, -1e-13), 1.0)
+        validate_contest((0.5, -1e-13), 1.0)
 
     def test_rejects_budget_overrun(self):
         with pytest.raises(BudgetExceeded):
-            PrizeVector((0.8, 0.4), 1.0)
+            validate_contest((0.8, 0.4), 1.0)
 
     def test_simple_contest(self):
         m2 = make_simple_contest(2, 1.0, 5)
@@ -76,11 +81,121 @@ class TestPrizeVector:
                 make_simple_contest(1, 1.0, n)
 
 
+def parent_w_inverse_values(weights):
+    """The prize loop w_inverse ran over all n ranks before contests stored weights."""
+    values = [0.0] * len(weights)
+    acc = 0.0
+    for j in range(len(weights), 0, -1):
+        acc += max(weights[j - 1], 0.0) / j
+        values[j - 1] = acc
+    return tuple(values)
+
+
+def parent_first_violation(values):
+    """(error class, rank) of the per-prize loop PrizeVector ran before it stored weights."""
+    for j, v in enumerate(values, start=1):
+        if not math.isfinite(v) or v < -1e-12:
+            return NegativePrize, j
+        if j > 1 and v > values[j - 2] + 1e-12:
+            return NotMonotone, j
+    return None, None
+
+
+class TestMixtureStorage:
+    def test_simple_contest_is_built_in_constant_time(self):
+        t0 = time.perf_counter()
+        for _ in range(1000):
+            make_simple_contest(17, 1.0, 10**6)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("budget", [1.0, 1.0 / 3.0, 0.7, 250.0, 1e-6])
+    def test_simple_contest_values_exact(self, budget):
+        for n in (1, 2, 7, 49, 50, 1000):
+            for j in sorted({1, min(2, n), max(n // 3, 1), max(n - 1, 1), n}):
+                m = make_simple_contest(j, budget, n)
+                assert (m.ranks, m.weights) == ((j,), (budget,))
+                assert m.values == (budget / j,) * j + (0.0,) * (n - j)
+
+    def test_w_inverse_bitwise_equal_to_reverse_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            w = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.6)
+            w[rng.uniform(size=n) < 0.2] = -rng.uniform(0.0, 1e-12)
+            weights = tuple(float(x) for x in w)
+            got = w_inverse(weights, budget=2.0 * n).values
+            want = parent_w_inverse_values(weights)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_validate_contest_reports_first_violation_like_prize_loop(self):
+        rng = np.random.default_rng(9)
+        seen = set()
+        for _ in range(500):
+            n = int(rng.integers(1, 12))
+            values = np.sort(rng.uniform(0.0, 1.0, n))[::-1] / n
+            for k in rng.integers(0, n, size=int(rng.integers(0, 3))):
+                values[k] = rng.choice([-0.1, -2e-12, -5e-13, 2.0, math.nan, math.inf, -math.inf,
+                                        values[k] + 5e-13, values[k] + 2e-12])
+            values = tuple(float(v) for v in values)
+            want_class, want_rank = parent_first_violation(values)
+            if want_class is None:
+                assert validate_contest(values, 100.0).values == values
+                continue
+            with pytest.raises(want_class) as err:
+                validate_contest(values, 100.0)
+            if want_class is NotMonotone:
+                assert err.value.index == want_rank
+            else:
+                assert f"rank {want_rank} " in str(err.value)
+            seen.add(want_class)
+        assert seen == {NegativePrize, NotMonotone}
+
+    def test_serialized_simple_contest_round_trips(self):
+        m = make_simple_contest(49, 1.0, 50)
+        back = contest_from_dict(contest_to_dict(m))
+        assert back == m and hash(back) == hash(m)
+        assert back != make_simple_contest(48, 1.0, 50)
+        assert back != validate_contest(m.values, 2.0)
+
+    def test_solvers_leave_simple_prizes_unbuilt(self):
+        contest = make_simple_contest(3, 1.0, 200)
+        types = EmpiricalTypes(q=[1.0, 2.0, 3.0], c=[0.1, 0.2, 0.9], w=[0.3, 0.3, 0.4], n=200)
+        expected_prize(contest, 0.01)
+        expected_prize_curve(contest, np.linspace(0.0, 1.0, 5))
+        equilibrium(contest, types)
+        c_star(200, 1.0, 0.01)
+        result = optimal_contest(200, 1.0, 0.05, Uniform(0.0, 1.0))
+        assert "values" not in vars(contest) and "values" not in vars(result.contest)
+
+    @pytest.mark.parametrize(
+        "n, ranks, weights, budget, error",
+        [
+            (3, (2, 1), (0.5, 0.5), 1.0, IndexOutOfRange),
+            (3, (1, 1), (0.5, 0.5), 1.0, IndexOutOfRange),
+            (3, (0,), (0.5,), 1.0, IndexOutOfRange),
+            (3, (4,), (0.5,), 1.0, IndexOutOfRange),
+            (3, (1.5,), (0.5,), 1.0, IndexOutOfRange),
+            (3, (math.nan,), (0.5,), 1.0, IndexOutOfRange),
+            (3, (1, 2), (0.5,), 1.0, IndexOutOfRange),
+            (0, (), (), 1.0, IndexOutOfRange),
+            (3.0, (1,), (0.5,), 1.0, IndexOutOfRange),
+            (3, (1,), (0.0,), 1.0, NegativeWeight),
+            (3, (1, 2), (0.5, math.nan), 1.0, NegativeWeight),
+            (3, (1, 2), (math.inf, 0.5), 1.0, NegativeWeight),
+            (3, (1, 2), (0.6, 0.5), 1.0, BudgetExceeded),
+            (3, (1,), (0.5,), math.nan, BudgetExceeded),
+        ],
+    )
+    def test_constructor_checks_the_terms(self, n, ranks, weights, budget, error):
+        with pytest.raises(error):
+            PrizeVector(n, budget, ranks, weights)
+
+
 class TestExpectedPrize:
     def test_frozen_value(self):
         # n=3, split top two: c(p) = 0.5 [(1-p)^2 + 2p(1-p)] + 0.5 * 2 ... at
         # p = 1/2 the three placement probabilities are (1/4, 1/2, 1/4)
-        v = PrizeVector((0.5, 0.5, 0.0), 1.0)
+        v = validate_contest((0.5, 0.5, 0.0), 1.0)
         np.testing.assert_allclose(expected_prize(v, 0.5), 0.375, rtol=1e-14)
 
     def test_endpoints(self):
@@ -114,7 +229,7 @@ class TestExpectedPrize:
             n = int(rng.integers(2, 15))
             v = random_contest(rng, n)
             direct = np.array(
-                [np.dot(v.as_array(), stats.binom.pmf(np.arange(n), n - 1, p)) for p in ps]
+                [np.dot(np.asarray(v.values), stats.binom.pmf(np.arange(n), n - 1, p)) for p in ps]
             )
             np.testing.assert_allclose(expected_prize_curve(v, ps), direct, rtol=0, atol=1e-12)
             scalar = np.array([expected_prize(v, p) for p in ps])
@@ -137,7 +252,7 @@ class TestExpectedPrize:
 
 class TestWTransform:
     def test_frozen_pair(self):
-        w = w_transform(PrizeVector((0.6, 0.3, 0.1), 1.0))
+        w = w_transform(validate_contest((0.6, 0.3, 0.1), 1.0))
         np.testing.assert_allclose(w.weights, (0.3, 0.4, 0.3), atol=1e-15)
         back = w_inverse(w.weights, budget=1.0)
         np.testing.assert_allclose(back.values, (0.6, 0.3, 0.1), atol=1e-15)
@@ -160,7 +275,7 @@ class TestWTransform:
 
 class TestLotteryDecomposition:
     def test_frozen_example(self):
-        lot = lottery_decomposition(PrizeVector((0.6, 0.3, 0.1), 1.0))
+        lot = lottery_decomposition(validate_contest((0.6, 0.3, 0.1), 1.0))
         np.testing.assert_allclose(lot.probabilities, (0.3, 0.4, 0.3), atol=1e-15)
 
     def test_per_rank_payoff_identity(self):
@@ -178,7 +293,7 @@ class TestLotteryDecomposition:
 
     def test_requires_exhausted_budget(self):
         with pytest.raises(BudgetNotExhausted):
-            lottery_decomposition(PrizeVector((0.4, 0.1), 1.0))
+            lottery_decomposition(validate_contest((0.4, 0.1), 1.0))
 
 
 class TestSerialization:

@@ -46,6 +46,26 @@ class TestUniform:
             Uniform(1.0, 1.0)
 
 
+QUANTILE_LAWS = [Uniform(2.0, 5.0), PiecewiseLinearCDF(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)))]
+
+
+class TestQuantileArgument:
+    @pytest.mark.parametrize("qd", QUANTILE_LAWS, ids=["uniform", "piecewise"])
+    def test_scalar_path_matches_array_path_bitwise(self, qd):
+        us = np.concatenate((np.linspace(0.0, 1.0, 1001), [1e-300, 0.5 - 2**-53, 1.0 - 2**-53]))
+        scalars = np.array([quantile(qd, float(u)) for u in us])
+        assert scalars.tobytes() == quantile(qd, us).tobytes()
+        assert all(type(quantile(qd, u)) is float for u in (0.3, np.float64(0.3), np.array(0.3), 1))
+
+    @pytest.mark.parametrize("qd", QUANTILE_LAWS, ids=["uniform", "piecewise"])
+    @pytest.mark.parametrize("u", [math.nan, -1e-300, 1.0 + 2**-52, -math.inf, math.inf])
+    def test_rejects_outside_unit_interval(self, qd, u):
+        with pytest.raises(ValidationError):
+            quantile(qd, u)
+        with pytest.raises(ValidationError):
+            quantile(qd, np.array([0.5, u]))
+
+
 class TestPiecewiseLinearCDF:
     def test_frozen_values(self):
         pw = PiecewiseLinearCDF(((0.0, 0.0), (1.0, 0.25), (2.0, 1.0)))
@@ -62,6 +82,15 @@ class TestPiecewiseLinearCDF:
             PiecewiseLinearCDF(((0.0, 0.0), (1.0, 0.8), (2.0, 0.5)))
         with pytest.raises(ValidationError):
             PiecewiseLinearCDF(((0.0, 0.1), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_knots(self, bad):
+        for k in range(3):
+            for coord in (0, 1):
+                knots = [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+                knots[k][coord] = bad
+                with pytest.raises(ValidationError, match="finite"):
+                    PiecewiseLinearCDF(tuple(map(tuple, knots)))
 
 
 class TestRectMixture:
@@ -92,6 +121,17 @@ class TestEmpiricalTypes:
             EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.4])
         with pytest.raises(ValidationError):
             EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for field in ("q", "c", "w"):
+            arrays = {"q": [0.5, 2.0], "c": [0.1, 0.2], "w": [0.5, 0.5]}
+            arrays[field][0] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                EmpiricalTypes(**arrays)
+
+    def test_accepts_negative_quality(self):
+        EmpiricalTypes(q=[-1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.5])
 
     def test_with_n(self):
         t = EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.5])

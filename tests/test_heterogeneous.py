@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from contest_forge.contest import (
-    PrizeVector,
     expected_prize,
     expected_prize_curve,
     make_simple_contest,
+    validate_contest,
 )
 from contest_forge.distributions import (
     EmpiricalTypes,
@@ -113,7 +113,7 @@ def random_general_contest(rng, n):
     decay = np.exp(-rng.uniform(0.1, 1.5) * np.arange(paid))
     raw = np.sort(decay * rng.uniform(0.5, 1.0, size=paid))[::-1]
     values = tuple(float(v) for v in raw / raw.sum()) + (0.0,) * (n - paid)
-    return PrizeVector(values, 1.0)
+    return validate_contest(values, 1.0)
 
 
 class TestParticipationProfile:
@@ -173,7 +173,7 @@ class TestBestResponse:
     def test_empty_profile_draws_everyone_below_top_prize(self):
         rng = np.random.default_rng(1)
         types = random_types(rng, 20, 8, c_hi=1.5)
-        contest = PrizeVector((0.6, 0.4) + (0.0,) * 6, 1.0)
+        contest = validate_contest((0.6, 0.4) + (0.0,) * 6, 1.0)
         response = best_response(contest, types, ParticipationProfile.empty(20))
         np.testing.assert_array_equal(response.mask, types.c <= 0.6)
 
@@ -611,7 +611,7 @@ class TestHighcostSubequilibrium:
             assert np.all(types.c[profile.mask] > 0.5)
 
     def test_requires_exhausted_budget(self):
-        contest = PrizeVector((0.5, 0.0), 1.0)
+        contest = validate_contest((0.5, 0.0), 1.0)
         with pytest.raises(BudgetNotExhausted):
             highcost_subequilibrium(contest, TWO_POINT, 1.0)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from contest_forge import homogeneous
-from contest_forge.contest import PrizeVector, expected_prize, make_simple_contest
+from contest_forge.contest import expected_prize, make_simple_contest, validate_contest
 from contest_forge.distributions import PiecewiseLinearCDF, Uniform, cdf
 from contest_forge.errors import (
     InvalidCost,
@@ -62,7 +62,7 @@ class TestParticipationRate:
                 assert resid <= 1e-9 * max(v.budget, c)
 
     def test_boundary_flags(self):
-        v = PrizeVector((0.5, 0.3, 0.2), 1.0)
+        v = validate_contest((0.5, 0.3, 0.2), 1.0)
         assert participation_rate(v, 0.6) == (0.0, ZERO_PARTICIPATION)
         assert participation_rate(v, 0.1) == (1.0, FULL_PARTICIPATION)
 
@@ -98,7 +98,7 @@ def desk_contest(rng, n):
     k = int(rng.integers(2, n + 1))
     raw = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
     values = tuple(float(v) for v in raw * budget / raw.sum()) + (0.0,) * (n - k)
-    contest = PrizeVector(values, budget)
+    contest = validate_contest(values, budget)
     c = values[-1] + float(rng.uniform(0.01, 0.99)) * (values[0] - values[-1])
     return contest, c
 
@@ -145,7 +145,7 @@ class TestNewtonRate:
                 assert rate_contract(contest, c, p) <= 1e-10, (n, c)
                 assert rate_contract(contest, c, bisected_rate(contest, c)) <= 1e-10
         # only w_1 and w_n are positive: c(p) = (v_1 - v_n) S_1(p) + v_n
-        contest = PrizeVector((0.5,) + (0.1,) * 5, 1.0)
+        contest = validate_contest((0.5,) + (0.1,) * 5, 1.0)
         p, _ = participation_rate(contest, 0.3)
         np.testing.assert_allclose(p, 1.0 - 0.5 ** (1.0 / 5.0), rtol=1e-9)
 
@@ -182,7 +182,7 @@ class TestNewtonRate:
             assert rate_contract(contest, c, p) <= 1e-10, (n, j)
             assert expected_prize(contest, p) > 0.0
         # a winner's prize over a dust of runner-up prizes, cost in the dust
-        contest = PrizeVector((1.0 - 59e-9,) + (1e-9,) * 59, 1.0)
+        contest = validate_contest((1.0 - 59e-9,) + (1e-9,) * 59, 1.0)
         p, _ = participation_rate(contest, 2e-9)
         assert rate_contract(contest, 2e-9, p) <= 1e-10
 
@@ -207,7 +207,7 @@ class TestNewtonRate:
 
     def test_step_cap_raises_iteration_limit(self, monkeypatch):
         monkeypatch.setattr(homogeneous, "_MAX_RATE_STEPS", 2)
-        contest = PrizeVector((0.5, 0.3, 0.2), 1.0)
+        contest = validate_contest((0.5, 0.3, 0.2), 1.0)
         with pytest.raises(IterationLimit):
             participation_rate(contest, 0.31)
 
