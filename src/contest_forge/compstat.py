@@ -250,10 +250,9 @@ def classify_by_breakpoints(table: BreakpointTable, c: float) -> int:
 
 def wta_optimal(n: int, budget: float, c: float) -> bool:
     """Winner-take-all is optimal iff V/c <= (1 + 1/(n-1))^(n-1)."""
+    _check_scalars(n=n, budget=budget, c=c)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    if c <= 0.0:
-        raise ValidationError(f"need c > 0, got {c!r}")
     return budget / c <= (1.0 + 1.0 / (n - 1)) ** (n - 1)
 
 
@@ -298,6 +297,7 @@ def finite_to_limit_convergence(
     qd = Uniform(0.0, 1.0)
     rows = []
     for n in n_list:
+        _check_scalars(n=n)
         if n < 2:
             raise ValidationError(f"population sizes must be >= 2, got {n}")
         design = optimal_contest(int(n), budget, c, qd)
@@ -432,6 +432,7 @@ def participation_floor_audit(vc: float, n: int) -> dict:
     against (vc - sqrt(5 vc ln vc)) / (n - 1). Scales below 7 are skipped
     (the floor is vacuous there).
     """
+    _check_scalars(n=n, budget=vc)
     if vc < 7.0:
         return _skip("participation_floor", "floor vacuous for vc < 7")
     j_ld = int(math.floor(vc - math.sqrt(vc)))

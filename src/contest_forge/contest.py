@@ -17,9 +17,11 @@ split the budget equally among the top j ranks:
 
 A :class:`PrizeVector` stores this mixture, so a simple contest is one term
 at any n, and builds the n prizes only when they are read. Both
-``expected_prize`` and ``expected_prize_curve`` evaluate the mixture through
-the binomial kernel ``numerics.rank_cdf``; the test suite checks both against
-a rank-probability dot product computed independently.
+``expected_prize`` and ``expected_prize_curve`` sum each point's mixture terms,
+from the binomial kernel ``numerics.rank_cdf``, along a contiguous last axis,
+so c(p) depends only on the contest and p: a scalar, any shape, subset or order
+give the same bits. The test suite checks both against a rank-probability dot
+product computed independently.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
     NegativePrize,
     NegativeWeight,
     NotMonotone,
+    OutOfRange,
     PopulationTooLarge,
     ValidationError,
 )
@@ -191,26 +194,25 @@ def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
     return PrizeVector(n, float(budget), (j,), (float(budget),))
 
 
+def _prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
+    """c(p) at each point of ``ps``; a point's terms are one contiguous row, summed alone."""
+    js, coef = contest._mixture
+    return np.add.reduce(rank_cdf(contest.n, js, ps[..., None]) * coef, axis=-1)
+
+
 def expected_prize(contest: PrizeVector, p: float) -> float:
     """Expected prize at independent-loss probability p (the curve c(p))."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    js, coef = contest._mixture
-    return float(np.dot(coef, rank_cdf(contest.n, js, p)))
+        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
+    return float(_prize_curve(contest, np.asarray(p, dtype=float)))
 
 
 def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
-    """Vectorised c(p) over an array of loss probabilities.
-
-    Evaluates the rank-gap mixture sum_{w_j > 0} (w_j / j) * S_j(p) in one
-    kernel call over every (j, p) pair, so simple contests cost one binomial
-    cdf evaluation per p. The mixture is one ``np.dot`` over the flattened
-    points, the product ``np.tensordot`` would form, without its overhead.
-    """
+    """Vectorised c(p) over loss probabilities in [0, 1], bitwise equal to expected_prize."""
     ps = np.asarray(ps, dtype=float)
-    js, coef = contest._mixture
-    s = rank_cdf(contest.n, js.reshape(-1, *(1,) * ps.ndim), ps)
-    return np.dot(coef, s.reshape(len(coef), -1)).reshape(ps.shape)
+    if not ((ps >= 0.0) & (ps <= 1.0)).all():
+        raise OutOfRange("every p must lie in [0, 1]")
+    return _prize_curve(contest, ps)
 
 
 def w_transform(contest: PrizeVector) -> WTransform:

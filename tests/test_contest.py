@@ -29,8 +29,7 @@ from contest_forge.errors import (
     ValidationError,
 )
 from contest_forge.heterogeneous import equilibrium
-from contest_forge.homogeneous import c_star, optimal_contest
-from contest_forge.numerics import rank_cdf
+from contest_forge.homogeneous import c_star, optimal_contest, participation_rate
 
 
 def random_contest(rng, n, budget=1.0, exhaust=False):
@@ -164,6 +163,8 @@ class TestMixtureStorage:
         expected_prize_curve(contest, np.linspace(0.0, 1.0, 5))
         equilibrium(contest, types)
         c_star(200, 1.0, 0.01)
+        for cost in (0.5, 0.3, 0.001):  # saturated at p = 0, interior, saturated at p = 1
+            participation_rate(contest, cost)
         result = optimal_contest(200, 1.0, 0.05, Uniform(0.0, 1.0))
         assert "values" not in vars(contest) and "values" not in vars(result.contest)
 
@@ -237,17 +238,38 @@ class TestExpectedPrize:
 
     @pytest.mark.parametrize("shape", [(), (7,), (400,), (3, 5)])
     @pytest.mark.parametrize("general", [False, True])
-    def test_bitwise_equal_to_tensordot(self, shape, general):
+    def test_bitwise_equal_to_scalar(self, shape, general):
+        """c(p) depends on p alone: an array of any shape holds the scalar's bits."""
         rng = np.random.default_rng(21)
         n = 50
         v = random_contest(rng, n, exhaust=True) if general else make_simple_contest(7, 1.0, n)
         ps = rng.uniform(0.0, 1.0, size=shape)
-        js, coef = v._mixture
-        s = rank_cdf(n, js.reshape(-1, *(1,) * ps.ndim), ps)
-        want = np.tensordot(coef, s, axes=1)
         got = expected_prize_curve(v, ps)
-        assert got.shape == want.shape == np.shape(ps)
+        want = np.array([expected_prize(v, p) for p in np.ravel(ps)]).reshape(np.shape(ps))
+        assert got.shape == np.shape(ps)
         assert got.tobytes() == want.tobytes()
+
+    def test_bitwise_pointwise_for_every_term_count(self):
+        """Subsets, permutations and reshapes of the points keep each value's
+        bits, for mixtures of 1 to 60 terms."""
+        rng = np.random.default_rng(8)
+        n = 80
+        for terms in range(1, 61):
+            ranks = np.sort(rng.choice(np.arange(1, n + 1), size=terms, replace=False))
+            if terms % 3 == 0:
+                ranks[-1] = n  # S_n = 1 exactly
+            weights = rng.uniform(0.1, 1.0, size=ranks.size)
+            v = PrizeVector(n, float(weights.sum()), ranks.tolist(), weights.tolist())
+            ps = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=598)))
+            full = expected_prize_curve(v, ps)
+            pick = rng.choice(ps.size, size=400, replace=False)
+            assert expected_prize_curve(v, ps[pick]).tobytes() == full[pick].tobytes()
+            perm = rng.permutation(ps.size)
+            assert expected_prize_curve(v, ps[perm]).tobytes() == full[perm].tobytes()
+            grid = expected_prize_curve(v, ps[:15].reshape(3, 5))
+            assert grid.tobytes() == full[:15].tobytes()
+            for k in rng.choice(ps.size, size=10, replace=False):
+                assert expected_prize(v, ps[k]) == full[k], (terms, ps[k])
 
 
 class TestWTransform:

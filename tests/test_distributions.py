@@ -77,6 +77,20 @@ class TestPiecewiseLinearCDF:
         us = np.linspace(0.0, 1.0, 21)
         np.testing.assert_allclose(cdf(pw, quantile(pw, us)), us, atol=1e-10)
 
+    def test_knot_arrays_built_once_read_only(self):
+        knots = ((0.0, 0.0), (0.3, 0.6), (1.0, 1.0))
+        pw = PiecewiseLinearCDF(knots)
+        qs, us = pw._arrays
+        cdf(pw, 0.5), quantile(pw, 0.5)
+        assert pw._arrays[0] is qs and pw._arrays[1] is us
+        assert not qs.flags.writeable and not us.flags.writeable
+        with pytest.raises(ValueError):
+            qs[0] = 1.0
+        np.testing.assert_array_equal(np.column_stack((qs, us)), np.asarray(knots))
+        assert pw == PiecewiseLinearCDF(knots) and hash(pw) == hash(PiecewiseLinearCDF(knots))
+        xs = np.linspace(-0.5, 1.5, 41)
+        np.testing.assert_array_equal(cdf(pw, xs), np.interp(xs, qs, us, left=0.0, right=1.0))
+
     def test_rejects_non_monotone(self):
         with pytest.raises(ValidationError):
             PiecewiseLinearCDF(((0.0, 0.0), (1.0, 0.8), (2.0, 0.5)))

@@ -168,6 +168,31 @@ class TestExpectedPayoff:
             less = expected_payoff(contest, types, ParticipationProfile(drop), i)
             assert less >= base - 1e-12
 
+    def test_nonnegative_payoff_iff_best_response_enters(self):
+        """expected_payoff and best_response read one beat route and one
+        pointwise prize curve, so they agree exactly, ties included."""
+        rng = np.random.default_rng(77)
+        n = 50
+        ties = 0
+        for _ in range(40):
+            types = criterion_09_types(rng, m=int(rng.integers(20, 120)), n=n)
+            contest = (
+                random_general_contest(rng, n) if rng.random() < 0.7
+                else make_simple_contest(int(rng.integers(1, 13)), 1.0, n)
+            )
+            profile = random_profile(rng, types.support_size)
+            # put a third of the points on their tie c_i = c(beat_i)
+            c = types.c.copy()
+            on_tie = rng.random(c.size) < 0.33
+            c[on_tie] = expected_prize_curve(contest, _beat_probabilities(types, profile))[on_tie]
+            types = EmpiricalTypes(q=types.q, c=c, w=types.w, n=n)
+            response = best_response(contest, types, profile)
+            for i in range(types.support_size):
+                payoff = expected_payoff(contest, types, profile, i)
+                assert (payoff >= 0.0) == response.mask[i], i
+                ties += payoff == 0.0
+        assert ties > 0
+
 
 class TestBestResponse:
     def test_empty_profile_draws_everyone_below_top_prize(self):
@@ -297,12 +322,8 @@ class TestEquilibriumSweep:
     )
     def test_cost_equal_to_prize_ties(self, general, size, seeds):
         """Set every participant just below a non-participant (in q) onto its
-        tie c_i = c(beat_i), as best_response computes it; the tie enters.
-
-        With 399 points the BLAS dot has tail lanes that round differently
-        from the rest, so the prize at the failing point above a tie can sit
-        one bit below the tie's own (seeds 271, 283 and 287 do).
-        """
+        tie c_i = c(beat_i), as best_response computes it; the tie enters,
+        whatever the support size."""
         n = 50
         tied = 0
         for seed in seeds:

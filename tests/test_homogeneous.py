@@ -444,3 +444,14 @@ class TestBruteForce:
     def test_population_cap(self):
         with pytest.raises(PopulationTooLarge):
             brute_force_design_check(7, 1.0, 0.5, grid_step=0.25)
+
+    def test_grid_cap(self):
+        """1/50 is the finest grid; anything finer, down to a step whose
+        reciprocal overflows, is refused before any schedule is built."""
+        brute_force_design_check(2, 1.0, 0.5, grid_step=1.0 / 50.0)
+        for step in (1.0 / 51.0, 1e-300, 5e-324):
+            with pytest.raises(PopulationTooLarge):
+                brute_force_design_check(6, 1.0, 0.5, grid_step=step)
+        for step in (math.nan, 0.0, -0.1, 1.5, math.inf):
+            with pytest.raises(OutOfRange):
+                brute_force_design_check(6, 1.0, 0.5, grid_step=step)
