@@ -26,7 +26,7 @@ from .distributions import (
     _finite_types,
     distribution_from_dict,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, PopulationTooLarge, ValidationError
 from .heterogeneous import (
     equilibrium,
     example_obj,
@@ -36,6 +36,10 @@ from .heterogeneous import (
 from .homogeneous import optimal_contest
 
 __all__ = ["main"]
+
+# most scales ``scan`` solves in one run: a row takes up to about 1 ms (at
+# n near 10^6), so 10^4 rows at vc 300000..330000 took 10.6 s (2-core x86 host)
+MAX_SCAN_STEPS = 10_000
 
 
 class _UsageError(Exception):
@@ -151,6 +155,10 @@ def cmd_poisson(args) -> str:
 def cmd_scan(args) -> str:
     if args.steps < 1:
         raise ValidationError(f"need steps >= 1, got {args.steps}")
+    if args.steps > MAX_SCAN_STEPS:
+        raise PopulationTooLarge(
+            f"steps = {args.steps} exceeds the largest supported scan {MAX_SCAN_STEPS}"
+        )
     if not args.vc_max >= args.vc_min > 0.0:
         raise ValidationError(
             f"need 0 < vc_min <= vc_max, got {args.vc_min} and {args.vc_max}"
@@ -273,7 +281,9 @@ def _build_parser() -> _Parser:
     scan.add_argument("--cost", type=float, default=1.0)
     scan.add_argument("--vc-min", type=float, required=True)
     scan.add_argument("--vc-max", type=float, required=True)
-    scan.add_argument("--steps", type=int, default=3)
+    scan.add_argument(
+        "--steps", type=int, default=3, help=f"number of scales, 1..{MAX_SCAN_STEPS}"
+    )
     scan.add_argument("--n-factor", type=float, default=3.0)
     _add_output_flags(scan, "csv")
     scan.set_defaults(run=cmd_scan)

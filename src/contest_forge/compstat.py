@@ -38,7 +38,7 @@ from .errors import (
     PopulationTooLarge,
     ValidationError,
 )
-from .homogeneous import _check_scalars, optimal_contest, participation_rate
+from .homogeneous import MAX_POPULATION, _check_scalars, optimal_contest, participation_rate
 from .numerics import (
     binom_logpmf,
     first_descent,
@@ -319,7 +319,9 @@ def asymptotic_scan(c: float, vc_list, n_factor: float = 3.0) -> tuple[ScanRow, 
     For each scale vc = V/c (each >= 20), solves the design problem at
     n = ceil(n_factor * vc) and reports r_j = (vc - j*) / sqrt(vc / ln vc)
     and r_lambda = (vc - lambda*) / sqrt(vc * ln vc). The interesting content
-    is that both stay order one; the audit band is a harness choice.
+    is that both stay order one; the audit band is a harness choice. An
+    n_factor * vc above 2^53 raises PopulationTooLarge before it is rounded
+    to n, as an n beyond the solvers' range.
     """
     if not (math.isfinite(n_factor) and n_factor >= 2.5):
         raise ValidationError(f"n_factor must be finite and >= 2.5, got {n_factor!r}")
@@ -330,7 +332,12 @@ def asymptotic_scan(c: float, vc_list, n_factor: float = 3.0) -> tuple[ScanRow, 
         if not (math.isfinite(vc) and vc >= 20.0):
             raise OutOfRange(f"scan scales must be finite and >= 20, got {vc}")
         V = c * vc
-        n = int(math.ceil(n_factor * vc))
+        scaled = n_factor * vc
+        if not scaled <= MAX_POPULATION:  # an overflow to inf fails here too
+            raise PopulationTooLarge(
+                f"population n_factor * vc = {scaled!r} exceeds {MAX_POPULATION}"
+            )
+        n = int(math.ceil(scaled))
         design = optimal_contest(n, V, c, qd)
         lam = design.equilibrium.lam
         log_vc = math.log(vc)

@@ -4,7 +4,10 @@ Quality marginals are atomless (strictly increasing continuous CDFs); joint
 laws are mixtures of axis-aligned rectangles with uniform mass, which is
 enough to express every worked example while keeping all integrals closed
 form. The finite-support surrogate :class:`EmpiricalTypes` requires pairwise
-distinct qualities so that rank comparisons never tie. :func:`discretize`
+distinct qualities so that rank comparisons never tie; it keeps read-only
+copies of its arrays and its points' decreasing-quality order, sorted once
+when it is built, which the heterogeneous solvers read instead of sorting
+again. :func:`discretize`
 draws it from a rectangle mixture by stratified sampling and enforces that
 with a deterministic micro-jitter (at most 1e-9 of the support width,
 applied only to colliding points). This distinct-q convention is the finite
@@ -23,7 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoLowCostMass, NumericalError, ValidationError
+from .errors import (
+    NoLowCostMass,
+    NumericalError,
+    OutOfRange,
+    PopulationTooLarge,
+    ValidationError,
+)
 
 __all__ = [
     "Uniform",
@@ -43,6 +52,19 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+# largest m that discretize accepts; see its docstring
+MAX_SUPPORT_POINTS = 100_000
+
+
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool does not count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> None:
+    """The seed rule: an integer >= 0, so every draw is reproducible from it."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _unit_interval(u):
@@ -187,6 +209,11 @@ class EmpiricalTypes:
 
     ``n`` is the contest population size the support will be paired with; it
     may be left as None and supplied by the contest at solve time.
+
+    ``q``, ``c`` and ``w`` are read-only float copies of the given arrays, so
+    a validated support cannot change afterwards. The support also keeps its
+    points' decreasing-quality order (``_order``, read-only), the order in
+    which the heterogeneous equilibrium is decided; it is sorted once here.
     """
 
     q: np.ndarray
@@ -195,9 +222,10 @@ class EmpiricalTypes:
     n: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+        for name in ("q", "c", "w"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if not (self.q.shape == self.c.shape == self.w.shape) or self.q.ndim != 1:
             raise ValidationError("q, c, w must be 1-d arrays of equal length")
         if self.q.size == 0:
@@ -208,15 +236,21 @@ class EmpiricalTypes:
             raise ValidationError("support weights must be positive")
         if abs(math.fsum(self.w.tolist()) - 1.0) > _WEIGHT_TOL:
             raise ValidationError("support weights must sum to 1")
-        if np.unique(self.q).size != self.q.size:
+        if self.n is not None and not (_is_integer(self.n) and self.n >= 1):
+            raise OutOfRange(f"population size must be an integer >= 1, got {self.n!r}")
+        order = np.argsort(-self.q, kind="stable")
+        q_desc = self.q[order]
+        if np.any(q_desc[1:] == q_desc[:-1]):
             raise ValidationError("support qualities must be pairwise distinct")
+        order.flags.writeable = False
+        object.__setattr__(self, "_order", order)
 
     @property
     def support_size(self) -> int:
         return int(self.q.size)
 
     def with_n(self, n: int) -> "EmpiricalTypes":
-        return replace(self, n=int(n))
+        return replace(self, n=n)
 
 
 def sample_joint(jd: RectMixture, rng: np.random.Generator, size: int):
@@ -249,14 +283,25 @@ def _pr_c_at_most(comp: RectComponent, cap: float) -> float:
     return (cap - comp.c_lo) / (comp.c_hi - comp.c_lo)
 
 
+def _check_draws(cost_cap: float, m: int) -> None:
+    """The cost cap and draw count of the low-cost maximum: a cap that is a
+    number, and an integer m >= 1."""
+    if math.isnan(cost_cap):
+        raise OutOfRange(f"cost cap must not be NaN, got {cost_cap!r}")
+    if not (_is_integer(m) and m >= 1):
+        raise OutOfRange(f"m must be an integer >= 1, got {m!r}")
+
+
 def low_cost_max_cdf(jd: RectMixture, cost_cap: float, m: int, x: float) -> float:
     """Pr[max{q_i : c_i <= cap} <= x] over m independent draws.
 
     Equals [Pr(q <= x or c > cap)]^m; the empty max counts as 0, so a cap
-    below every cost gives 1 for any x >= 0.
+    below every cost gives 1 for any x >= 0. A NaN cap or x, or an m that is
+    not an integer >= 1, raises :class:`OutOfRange`.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m!r}")
+    _check_draws(cost_cap, m)
+    if math.isnan(x):
+        raise OutOfRange(f"x must not be NaN, got {x!r}")
     beat = math.fsum(
         comp.weight * _pr_q_above(comp, x) * _pr_c_at_most(comp, cost_cap)
         for comp in jd.components
@@ -271,6 +316,7 @@ def median_max_quality(jd: RectMixture, cost_cap: float, m: int) -> float:
     Returns inf{x : CDF(x) >= 1/2}; when the CDF crosses 1/2 continuously
     this solves low_cost_max_cdf(mu) = 1/2 to float resolution.
     """
+    _check_draws(cost_cap, m)
     qualifying = math.fsum(
         comp.weight * _pr_c_at_most(comp, cost_cap) for comp in jd.components
     )
@@ -330,16 +376,23 @@ def discretize(jd: RectMixture, m: int, seed, *, n: int | None = None) -> Empiri
     jitter of at most 1e-9 of the support width. A law that is not a
     :class:`RectMixture`, an m that is not an integer >= 1 and a seed that
     is not an integer >= 0 raise :class:`ValidationError`; ``None`` is
-    rejected too, so every support is reproducible from its seed.
+    rejected too, so every support is reproducible from its seed. m above
+    ``MAX_SUPPORT_POINTS`` (10^5) raises :class:`PopulationTooLarge` before
+    any allocation: the equilibrium sweep on a support grows faster than
+    its size, and one general-contest equilibrium took about 1.5 s at
+    10^5 points and 47 s at 10^6 (2-core x86 host).
     """
     if not isinstance(jd, RectMixture):
         raise ValidationError(
             f"discretize needs a rect_mixture joint law, got {type(jd).__name__}"
         )
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not (_is_integer(m) and m >= 1):
         raise ValidationError(f"m must be an integer >= 1, got {m!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if m > MAX_SUPPORT_POINTS:
+        raise PopulationTooLarge(
+            f"m = {m} exceeds the largest supported discretization {MAX_SUPPORT_POINTS}"
+        )
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     counts = _stratified_counts(jd._weight_array(), m)
     qs_parts, cs_parts = [], []

@@ -12,7 +12,11 @@ enters, a point that fails once fails for good.
 
 Participation profiles here are masks over the support of an
 :class:`~contest_forge.distributions.EmpiricalTypes`; the distinct-q
-invariant of that class is what makes strict rank comparisons safe.
+invariant of that class is what makes strict rank comparisons safe. The
+decreasing-quality order belongs to the support, not to a contest: the
+support sorts it once, and the sweep, the beat probabilities and
+:func:`rule_from_profile` all read that stored order. The experiments solve
+each distinct contest once; winner-take-all is M^1.
 
 Objectives of a profile on a finite support have a closed form
 (:func:`exact_objective`), which the experiments use. :func:`mc_objective`
@@ -41,7 +45,9 @@ from .distributions import (
     EmpiricalTypes,
     RectComponent,
     RectMixture,
+    _check_seed,
     _finite_types,
+    _is_integer,
     discretize,
     low_cost_max_cdf,
     median_max_quality,
@@ -174,7 +180,7 @@ def beat_probability(
 ) -> float:
     """Probability that one opponent draw participates and outranks point i."""
     _check_profile(types, profile)
-    if not 0 <= i < types.support_size:
+    if not (_is_integer(i) and 0 <= i < types.support_size):
         raise IndexOutOfRange(f"support index {i} outside 0..{types.support_size - 1}")
     return float(_beat_probabilities(types, profile)[i])
 
@@ -201,7 +207,7 @@ def _beat_probabilities(
     types: EmpiricalTypes, profile: ParticipationProfile
 ) -> np.ndarray:
     """Vectorised beat_probability over the whole support."""
-    order = np.argsort(-types.q, kind="stable")
+    order = types._order
     out = np.empty(types.support_size)
     out[order] = _mass_above(types.w[order], profile.mask[order])
     return out
@@ -225,7 +231,8 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
     """The unique equilibrium, by sweeps in decreasing quality.
 
     A point's beat probability is the entering mass above it, so the points
-    are decided from the top down. Each round assumes every undecided point
+    are decided from the top down, in the decreasing-quality order the
+    support stores (no sort here). Each round assumes every undecided point
     enters and evaluates the expected prize at their beat probabilities
     only. Every point before the first failure enters, since the points
     above it are now final; the failing point stays out; and so does every
@@ -239,7 +246,7 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
     ``_DEFER_RTOL`` of the prize at the failure waits for its own evaluation.
     """
     _population(contest, types)
-    order = np.argsort(-types.q, kind="stable")
+    order = types._order
     c = types.c[order]
     w = types.w[order]
     alive = np.ones(types.support_size, dtype=bool)  # entered or undecided, in q order
@@ -282,7 +289,7 @@ def output_cdf(
 ) -> float:
     """CDF at x of one draw's output q * participate (non-participants produce 0)."""
     _check_profile(types, profile)
-    if x < 0.0:
+    if not x >= 0.0:  # NaN fails here too
         raise ValidationError(f"need x >= 0, got {x!r}")
     counted = ~profile.mask | (types.q <= x)
     return float(np.sum(types.w[counted]))
@@ -329,7 +336,7 @@ def rule_from_profile(types: EmpiricalTypes, profile: ParticipationProfile):
     atoms, which is what sampling from EmpiricalTypes produces.
     """
     _check_profile(types, profile)
-    order = np.argsort(types.q, kind="stable")
+    order = types._order[::-1]  # increasing q
     sorted_q = types.q[order]
     sorted_mask = profile.mask[order]
 
@@ -361,13 +368,22 @@ def mc_objective(
     """Monte Carlo estimate of an output objective under a participation rule.
 
     ``jd`` is a RectMixture or EmpiricalTypes; ``rule`` maps (q, c) arrays to
-    a participation mask; ``objective`` is "max", "sum", or ("top_k", k).
-    Non-participants produce 0, and empty participant sets score 0.
+    a participation mask; ``objective`` is "max", "sum", or ("top_k", k)
+    with an integer 1 <= k <= n. Non-participants produce 0, and empty
+    participant sets score 0. ``n`` and ``replicas`` >= 2 are integers, and
+    ``seed`` follows :func:`~contest_forge.distributions.discretize`'s rule:
+    an integer >= 0.
     """
-    if replicas < 2:
-        raise ValidationError(f"need at least 2 replicas, got {replicas!r}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n!r}")
+    if not (_is_integer(replicas) and replicas >= 2):
+        raise ValidationError(f"need an integer replicas >= 2, got {replicas!r}")
+    _check_scalars(n=n)
+    _check_seed(seed)
+    if isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "top_k":
+        k = objective[1]
+        if not (_is_integer(k) and 1 <= k <= n):
+            raise ValidationError(f"top_k needs an integer 1 <= k <= n, got {k!r}")
+    elif objective not in ("max", "sum"):
+        raise ValidationError(f"unknown objective {objective!r}")
     rng = np.random.default_rng(seed)
     qs, cs = _draw_types(jd, rng, replicas * n)
     participate = np.asarray(rule(qs, cs), dtype=bool)
@@ -377,19 +393,13 @@ def mc_objective(
         per_replica = outputs.max(axis=1)
     elif objective == "sum":
         per_replica = outputs.sum(axis=1)
-    elif isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "top_k":
-        k = int(objective[1])
-        if not 1 <= k <= n:
-            raise ValidationError(f"top_k needs 1 <= k <= n, got {k}")
-        per_replica = np.partition(outputs, n - k, axis=1)[:, n - k :].sum(axis=1)
     else:
-        raise ValidationError(f"unknown objective {objective!r}")
+        per_replica = np.partition(outputs, n - k, axis=1)[:, n - k :].sum(axis=1)
 
     mean = float(per_replica.mean())
     std_error = float(per_replica.std(ddof=1) / math.sqrt(replicas))
-    seed_int = int(seed) if np.ndim(seed) == 0 else int(np.asarray(seed).flat[0])
     return ObjectiveEstimate(
-        mean=mean, std_error=std_error, replicas=int(replicas), seed=seed_int
+        mean=mean, std_error=std_error, replicas=int(replicas), seed=int(seed)
     )
 
 
@@ -405,8 +415,7 @@ def exact_objective(
     negative q needs no special case); E[sum] = n sum_i w_i x_i.
     """
     _check_profile(types, profile)
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n!r}")
+    _check_scalars(n=n)
     x = np.where(profile.mask, types.q, 0.0)
     if objective == "sum":
         return float(n * np.dot(types.w, x))
@@ -443,6 +452,7 @@ def median_subequilibrium(jd: RectMixture, budget: float, n: int) -> MedianRule:
     least V/2 >= her cost and the rule is interim-rational under
     winner-take-all.
     """
+    _check_scalars(n=n, budget=budget)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     cap = budget / 2.0
@@ -456,17 +466,20 @@ def median_subequilibrium(jd: RectMixture, budget: float, n: int) -> MedianRule:
 
 
 def highcost_subequilibrium(
-    contest: PrizeVector, types: EmpiricalTypes, budget: float
+    contest: PrizeVector, types: EmpiricalTypes
 ) -> ParticipationProfile:
     """Expensive participants of any budget-exhausting equilibrium, as a WTA profile.
 
-    Takes the equilibrium of ``contest``, keeps participants with c > V/2,
-    and verifies directly that the kept set is interim-rational under
-    winner-take-all (the lottery decomposition argument says it must be:
-    ranks below the top pay at most V/2 < c, so the top-rank term carries
-    the rationality). A failure raises :class:`NotSubEquilibrium` loudly.
+    V is ``contest.budget``, which the prizes must exhaust
+    (:class:`BudgetNotExhausted` otherwise). Takes the equilibrium of
+    ``contest``, keeps participants with c > V/2, and verifies directly that
+    the kept set is interim-rational under winner-take-all with budget V
+    (the lottery decomposition argument says it must be: ranks below the
+    top pay at most V/2 < c, so the top-rank term carries the rationality).
+    A failure raises :class:`NotSubEquilibrium` loudly.
     """
     lottery_decomposition(contest)  # validates budget exhaustion
+    budget = contest.budget
     n = _population(contest, types)
     bracket = equilibrium(contest, types)
     base = bracket.profile.mask
@@ -493,10 +506,11 @@ def wta_approx_experiment(
     """Measure how far winner-take-all falls below the best simple contest.
 
     Discretizes the joint law (an EmpiricalTypes ``jd`` is used without
-    discretizing), computes the WTA equilibrium and its exact expected maximum
-    output W, then the same for every simple contest with at most
-    V / min-cost prizes; the best of those, B, is a certified lower bound on
-    the optimum. Reports the ratio B / W and the exact check 3W >= B.
+    discretizing), then solves the equilibrium of every simple contest with
+    at most V / min-cost prizes and its exact expected maximum output. M^1
+    is winner-take-all, so its row gives W; the best row, B, is a certified
+    lower bound on the optimum. Reports the ratio B / W and the exact check
+    3W >= B.
     ``seed`` drives the discretization only; ``replicas`` is accepted for
     compatibility and does not affect the result.
     """
@@ -508,12 +522,8 @@ def wta_approx_experiment(
     ratio_cap = budget / min_cost if min_cost > 0.0 else math.inf
     j_cap = n if ratio_cap >= n else max(1, math.floor(ratio_cap + 1e-12))
 
-    wta = make_simple_contest(1, budget, n)
-    wta_bracket = equilibrium(wta, types)
-    w_mean = exact_objective(types, wta_bracket.profile, n, "max")
-
     contests = []
-    all_collapsed = wta_bracket.converged
+    all_collapsed = True
     best_mean = -math.inf
     best_j = 1
     for j in range(1, j_cap + 1):
@@ -528,6 +538,7 @@ def wta_approx_experiment(
             best_mean = mean
             best_j = j
 
+    w_mean = contests[0]["estimate"]["mean"]  # M^1 is winner-take-all
     ratio = best_mean / w_mean if w_mean > 0.0 else math.inf
     return {
         "n": n,
@@ -626,7 +637,7 @@ def example_obj(
     top_heavy_rows = []
     all_below = True
     for name, cv in top_heavy:
-        bracket = equilibrium(cv, types)
+        bracket = wta_bracket if cv is wta else equilibrium(cv, types)
         total = exact_objective(types, bracket.profile, n, "sum")
         below = total < V / 4.0
         all_below = all_below and below

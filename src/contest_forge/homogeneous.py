@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contest import PrizeVector, expected_prize, make_simple_contest, validate_contest
-from .distributions import QualityDistribution, quantile
+from .distributions import QualityDistribution, _is_integer, quantile
 from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
 from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
@@ -68,6 +68,8 @@ _MAX_RATE_STEPS = 200
 # finest grid brute_force_design_check accepts, 1/grid_step: at n = 6 that is
 # 9,192 schedules in about 1.2 s (2-core x86 host), and 1/100 would be 189,509
 _MAX_GRID_STEPS = 50
+# largest population the scalar boundary accepts; see _check_scalars
+MAX_POPULATION = 2**53
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,20 @@ def equilibrium_threshold(
 def _check_scalars(
     n: int | None = None, budget: float | None = None, c: float | None = None
 ) -> None:
-    """The validation boundary for the scalar inputs of the homogeneous solvers."""
-    integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if n is not None and not (integral and n >= 1):
+    """The validation boundary for the scalar inputs of the solvers.
+
+    An n above ``MAX_POPULATION`` = 2^53 raises :class:`PopulationTooLarge`:
+    the kernels take n as a numpy int64 and probe ranks as floats, which
+    hold every integer only up to 2^53. Past the int64 range numpy cannot
+    hold n at all, and at n = 2^62 the first-descent search of ``c_star``
+    makes no progress.
+    """
+    if n is not None and not (_is_integer(n) and n >= 1):
         raise OutOfRange(f"population size must be an integer >= 1, got {n!r}")
+    if n is not None and n > MAX_POPULATION:
+        raise PopulationTooLarge(
+            f"population size {n} exceeds the largest supported {MAX_POPULATION}"
+        )
     if c is not None and not (math.isfinite(c) and c > 0.0):
         raise InvalidCost(f"participation cost must be positive and finite, got {c!r}")
     if budget is not None and not (math.isfinite(budget) and budget > 0.0):

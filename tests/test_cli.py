@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -298,6 +299,43 @@ class TestInputBoundary:
         assert out == "" and err.startswith("contest-forge: error:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestSizeLimits:
+    """Sizes past a documented limit are refused before anything of that size
+    is built: the whole run allocates under 16 MiB."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--vc-min", "100", "--vc-max", "1000", "--steps", "10000000000"],
+            ["design", "--n", "100000000000000000000", "--prize", "1e9", "--cost", "1"],
+            ["scan", "--vc-min", "100", "--vc-max", "100", "--n-factor", "1e300"],
+            ["scan", "--vc-min", "1e10", "--vc-max", "1e10", "--n-factor", "1e300"],
+            ["hetero-eq", "--dist", "DIST", "--contest", "CONTEST", "--n", "6",
+             "--m", "10000000000"],
+            ["approx", "--dist", "DIST", "--n", "6", "--prize", "1", "--m", "10000000000"],
+        ],
+        ids=["scan_too_many_steps", "design_n_beyond_int64", "scan_huge_n_factor",
+             "scan_n_factor_overflows", "hetero_eq_support_too_large",
+             "approx_support_too_large"],
+    )
+    def test_rejected_before_allocating(self, capsys, tmp_path, argv):
+        for name, doc in {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC}.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{arg}.json") if arg in ("DIST", "CONTEST") else arg
+                for arg in argv]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == "" and err.startswith("contest-forge: error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert peak < 16 * 2**20
 
 
 class TestPlumbing:

@@ -135,6 +135,25 @@ class TestEmpiricalTypes:
             EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.4])
         with pytest.raises(ValidationError):
             EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[1.0, 0.0])
+        with pytest.raises(ValidationError, match="distinct"):
+            EmpiricalTypes(q=[0.0, -0.0], c=[0.1, 0.2], w=[0.5, 0.5])
+
+    def test_arrays_are_read_only_copies(self):
+        q, c, w = np.array([1.0, 3.0, 2.0]), np.array([0.1, 0.2, 0.3]), np.full(3, 1 / 3)
+        t = EmpiricalTypes(q=q, c=c, w=w)
+        for given, held in ((q, t.q), (c, t.c), (w, t.w)):
+            assert not held.flags.writeable
+            assert not np.shares_memory(given, held)
+            with pytest.raises(ValueError):
+                held[0] = 0.5
+        q[0] = 2.0  # the caller's array stays the caller's
+        assert t.q.tolist() == [1.0, 3.0, 2.0]
+
+    def test_stores_decreasing_quality_order(self):
+        q = np.random.default_rng(0).permutation(np.linspace(-1.0, 2.0, 25))
+        t = EmpiricalTypes(q=q, c=np.full(25, 0.1), w=np.full(25, 1 / 25))
+        np.testing.assert_array_equal(t._order, np.argsort(-q))
+        assert not t._order.flags.writeable
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, bad):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from contest_forge import heterogeneous
 from contest_forge.contest import (
     expected_prize,
     expected_prize_curve,
@@ -63,6 +64,18 @@ def random_types(rng, size, n, c_hi=1.0):
     w = w.round(12)
     w[-1] = 1.0 - w[:-1].sum()
     return EmpiricalTypes(q=q, c=c, w=w, n=n)
+
+
+def count_equilibria(monkeypatch):
+    """Spy on heterogeneous.equilibrium; returns the list of contests it solves."""
+    calls = []
+
+    def spy(contest, types):
+        calls.append(contest)
+        return equilibrium(contest, types)
+
+    monkeypatch.setattr(heterogeneous, "equilibrium", spy)
+    return calls
 
 
 def random_profile(rng, size):
@@ -609,12 +622,12 @@ class TestHighcostSubequilibrium:
         rng = np.random.default_rng(4)
         types = random_types(rng, 15, 5, c_hi=0.49)
         contest = make_simple_contest(3, 1.0, 5)
-        profile = highcost_subequilibrium(contest, types, 1.0)
+        profile = highcost_subequilibrium(contest, types)
         assert profile.count == 0
 
     def test_lone_expensive_winner(self):
         types = EmpiricalTypes(q=[5.0, 1.0], c=[0.8, 2.0], w=[0.5, 0.5], n=2)
-        profile = highcost_subequilibrium(WTA2, types, 1.0)
+        profile = highcost_subequilibrium(WTA2, types)
         assert profile.count == 1 and bool(profile.mask[0])
         assert is_sub_equilibrium(WTA2, types, profile)
 
@@ -626,7 +639,7 @@ class TestHighcostSubequilibrium:
             types = random_types(rng, size, n, c_hi=1.2)
             j = int(rng.integers(1, n + 1))
             contest = make_simple_contest(j, 1.0, n)
-            profile = highcost_subequilibrium(contest, types, 1.0)
+            profile = highcost_subequilibrium(contest, types)
             wta = make_simple_contest(1, 1.0, n)
             assert is_sub_equilibrium(wta, types, profile)
             assert np.all(types.c[profile.mask] > 0.5)
@@ -634,7 +647,17 @@ class TestHighcostSubequilibrium:
     def test_requires_exhausted_budget(self):
         contest = validate_contest((0.5, 0.0), 1.0)
         with pytest.raises(BudgetNotExhausted):
-            highcost_subequilibrium(contest, TWO_POINT, 1.0)
+            highcost_subequilibrium(contest, TWO_POINT)
+
+    def test_threshold_is_half_the_contest_budget(self):
+        # V = 5: the 3.0 type clears V/2 = 2.5 and the 2.0 type does not
+        types = EmpiricalTypes(q=[3.0, 2.0, 1.0], c=[3.0, 2.0, 0.5], w=[0.2, 0.3, 0.5], n=2)
+        contest = make_simple_contest(1, 5.0, 2)
+        eq = equilibrium(contest, types).profile
+        assert eq.mask.tolist() == [True, True, True]
+        profile = highcost_subequilibrium(contest, types)
+        assert profile.mask.tolist() == [True, False, False]
+        assert is_sub_equilibrium(contest, types, profile)
 
 
 class TestWtaApproxExperiment:
@@ -665,6 +688,23 @@ class TestWtaApproxExperiment:
         with pytest.raises(ValidationError, match="not a joint"):
             wta_approx_experiment(Uniform(0.0, 1.0), 10, 1.0, 50, 2, 0)
 
+    def test_solves_each_simple_contest_once(self, monkeypatch):
+        calls = count_equilibria(monkeypatch)
+        jd = RectMixture((RectComponent(0.0, 1.0, 0.2, 0.9, 1.0),))
+        report = wta_approx_experiment(jd, 8, 1.0, 40, 2, 2)
+        j_cap = len(report["contests"])
+        assert j_cap == math.floor(1.0 / discretize(jd, 40, 2).c.min()) > 1
+        assert [contest.ranks for contest in calls] == [(j,) for j in range(1, j_cap + 1)]
+
+    def test_wta_mean_is_the_winner_take_all_objective(self):
+        jd = RectMixture(
+            (RectComponent(0.0, 1.0, 0.1, 0.6, 0.7), RectComponent(0.5, 2.0, 0.3, 0.9, 0.3))
+        )
+        report = wta_approx_experiment(jd, 7, 1.0, 60, 2, 4)
+        types = discretize(jd, 60, 4, n=7)
+        wta = equilibrium(make_simple_contest(1, 1.0, 7), types).profile
+        assert report["wta"]["mean"] == exact_objective(types, wta, 7, "max")
+
     @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
     def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
         jd = RectMixture((RectComponent(0.0, 1.0, 0.2, 0.9, 1.0),))
@@ -673,6 +713,12 @@ class TestWtaApproxExperiment:
 
 
 class TestExampleObj:
+    def test_solves_each_contest_once(self, monkeypatch):
+        # winner-take-all, the spread contest and three more top-heavy ones
+        calls = count_equilibria(monkeypatch)
+        example_obj(160.0, 200, 0.01, seed=1, m=40)
+        assert len(calls) == 5
+
     def test_small_scale_all_checks(self):
         report = example_obj(200.0, 500, 0.01, seed=3, replicas=100, m=800)
         assert all(report["checks"].values()), report["checks"]
