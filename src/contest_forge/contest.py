@@ -66,6 +66,9 @@ _SLACK = 1e-12
 _BUDGET_SLACK = 1e-9
 # largest n that make_simple_contest accepts; see its docstring
 _MAX_RANKS = 1_000_000
+# largest points x terms temporary of one prize-curve evaluation; larger
+# evaluations go a chunk of rows at a time, at least one row per chunk
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +198,21 @@ def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
 
 
 def _prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
-    """c(p) at each point of ``ps``; a point's terms are one contiguous row, summed alone."""
+    """c(p) at each point of ``ps``; a point's terms are one contiguous row, summed alone.
+
+    Rows are independent, so above ``_CHUNK_ELEMENTS`` points x terms they
+    are evaluated a chunk of rows at a time, with the same bits.
+    """
     js, coef = contest._mixture
-    return np.add.reduce(rank_cdf(contest.n, js, ps[..., None]) * coef, axis=-1)
+    if ps.size * js.size <= _CHUNK_ELEMENTS:
+        return np.add.reduce(rank_cdf(contest.n, js, ps[..., None]) * coef, axis=-1)
+    flat = ps.reshape(-1)
+    out = np.empty(flat.size)
+    rows = max(1, _CHUNK_ELEMENTS // js.size)
+    for lo in range(0, flat.size, rows):
+        chunk = flat[lo : lo + rows, None]
+        out[lo : lo + rows] = np.add.reduce(rank_cdf(contest.n, js, chunk) * coef, axis=-1)
+    return out.reshape(ps.shape)
 
 
 def expected_prize(contest: PrizeVector, p: float) -> float:

@@ -8,7 +8,11 @@ distinct, so a point's beat probability is the entering mass of the points
 above it, and deciding the points in decreasing quality fixes the unique
 equilibrium. :func:`equilibrium` does so in batched sweeps over the
 undecided points; because the expected prize only falls as more mass
-enters, a point that fails once fails for good.
+enters, a point that fails once fails for good. Each sweep reads the prize
+curve in doubling blocks from its first undecided point and stops at the
+block with its first failure, so a solve does work linear in the support
+size; :func:`best_response` evaluates the curve once per distinct beat
+probability.
 
 Participation profiles here are masks over the support of an
 :class:`~contest_forge.distributions.EmpiricalTypes`; the distinct-q
@@ -57,6 +61,7 @@ from .errors import (
     BudgetTooSmall,
     IndexOutOfRange,
     NotSubEquilibrium,
+    PopulationTooLarge,
     ProfileNotSubEquilibrium,
     ValidationError,
 )
@@ -90,6 +95,11 @@ _FOSD_TOL = 1e-12
 # curve falls in p but its kernel need not, bit for bit, so any value above a
 # few ulps changes only the round count.
 _DEFER_RTOL = 1e-12
+# points in the first block of an equilibrium round; each block without a
+# failure doubles the next
+_FIRST_BLOCK = 32
+# largest replicas x n that mc_objective draws; see its docstring
+MAX_MC_DRAWS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +232,9 @@ def best_response(
     """
     _population(contest, types)
     _check_profile(types, profile)
-    ps = _beat_probabilities(types, profile)
-    prizes = expected_prize_curve(contest, ps)
+    # k participants leave at most k + 1 distinct beat probabilities
+    levels, level_of = np.unique(_beat_probabilities(types, profile), return_inverse=True)
+    prizes = expected_prize_curve(contest, levels)[level_of]
     return ParticipationProfile(types.c <= prizes)
 
 
@@ -233,38 +244,64 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
     A point's beat probability is the entering mass above it, so the points
     are decided from the top down, in the decreasing-quality order the
     support stores (no sort here). Each round assumes every undecided point
-    enters and evaluates the expected prize at their beat probabilities
-    only. Every point before the first failure enters, since the points
-    above it are now final; the failing point stays out; and so does every
-    later point whose cost exceeds the prize at the failure, since its beat
+    enters and evaluates the expected prize at their beat probabilities.
+    Every point before the first failure enters, since the points above it
+    are now final; the failing point stays out; and so does every later
+    point whose cost exceeds the prize at the failure, since its beat
     probability can only be higher. Each round decides at least one point,
     so there are at most ``support_size`` rounds.
 
+    A round reads only what its decision needs. It walks the support in
+    blocks from its first undecided point: ``_FIRST_BLOCK`` points, then
+    twice as many after each block without a failure, and stops at the
+    first block with one. Below every failure so far a point is undecided
+    iff its cost is at most the least prize at a failure, so a block finds
+    its undecided points, and their entering mass above, from its own
+    slice. A round thus touches fewer than twice as many points as it
+    decides, plus one block, and a solve is linear in the support size.
+
     The prize at p depends only on p, so a point enters on the bits
-    :func:`best_response` compares: the result is its fixed point. The curve
-    need not fall bit for bit in p, so a later point whose cost lies within
-    ``_DEFER_RTOL`` of the prize at the failure waits for its own evaluation.
+    :func:`best_response` compares: the result is its fixed point. The
+    masses are one sequential sum chained across blocks, with the bits of
+    the sum over the whole support. The curve need not fall bit for bit in
+    p, so a later point whose cost lies within ``_DEFER_RTOL`` of the prize
+    at the failure waits for its own evaluation.
     """
     _population(contest, types)
     order = types._order
     c = types.c[order]
     w = types.w[order]
-    alive = np.ones(types.support_size, dtype=bool)  # entered or undecided, in q order
+    size = types.support_size
+    entered = np.zeros(size, dtype=bool)  # in q order
+    cap = math.inf  # below every failure, a point is undecided iff c <= cap
     start = 0  # every point above ``start`` is decided
+    base = 0.0  # entering mass above ``start``
     rounds = 0
-    while (undecided := start + np.flatnonzero(alive[start:])).size:
-        rounds += 1
-        prizes = expected_prize_curve(contest, _mass_above(w, alive)[undecided])
-        failed = np.flatnonzero(c[undecided] > prizes)
-        if failed.size == 0:
+    while start < size:
+        lo, block, opened = start, _FIRST_BLOCK, False
+        while lo < size:
+            live = c[lo : lo + block] <= cap
+            if (undecided := np.flatnonzero(live)).size:  # else the block adds no mass
+                rounds += not opened
+                opened = True
+                masked = np.where(live, w[lo : lo + block], 0.0)
+                above = np.cumsum(np.concatenate(([base], masked)))
+                prizes = expected_prize_curve(contest, above[undecided])
+                failed = np.flatnonzero(c[lo + undecided] > prizes)
+                if failed.size:
+                    first = undecided[failed[0]]
+                    entered[lo : lo + first] = live[:first]
+                    cap = min(cap, prizes[failed[0]] * (1.0 + _DEFER_RTOL))
+                    base = above[first]
+                    start = lo + first + 1
+                    break
+                entered[lo : lo + block] = live
+                base = above[-1]
+            lo, block = lo + block, 2 * block
+        else:
             break
-        first = failed[0]
-        later = undecided[first + 1 :]
-        alive[undecided[first]] = False
-        alive[later[c[later] > prizes[first] * (1.0 + _DEFER_RTOL)]] = False
-        start = undecided[first] + 1
-    mask = np.empty_like(alive)
-    mask[order] = alive
+    mask = np.empty_like(entered)
+    mask[order] = entered
     profile = ParticipationProfile(mask)
     return EquilibriumBracket(
         lower=profile, upper=profile, converged=True, iterations=rounds
@@ -372,11 +409,17 @@ def mc_objective(
     with an integer 1 <= k <= n. Non-participants produce 0, and empty
     participant sets score 0. ``n`` and ``replicas`` >= 2 are integers, and
     ``seed`` follows :func:`~contest_forge.distributions.discretize`'s rule:
-    an integer >= 0.
+    an integer >= 0. replicas x n above ``MAX_MC_DRAWS`` (2^20) raises
+    :class:`PopulationTooLarge` before any allocation: the draws take 25-50
+    bytes each at their peak, about 50 MiB at the limit.
     """
     if not (_is_integer(replicas) and replicas >= 2):
         raise ValidationError(f"need an integer replicas >= 2, got {replicas!r}")
     _check_scalars(n=n)
+    if (draws := int(replicas) * int(n)) > MAX_MC_DRAWS:  # Python ints cannot wrap
+        raise PopulationTooLarge(
+            f"replicas x n = {draws} exceeds the largest Monte Carlo run {MAX_MC_DRAWS}"
+        )
     _check_seed(seed)
     if isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "top_k":
         k = objective[1]

@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from contest_forge import contest as contest_module
 from contest_forge.contest import (
     PrizeVector,
     contest_from_dict,
@@ -270,6 +272,39 @@ class TestExpectedPrize:
             assert grid.tobytes() == full[:15].tobytes()
             for k in rng.choice(ps.size, size=10, replace=False):
                 assert expected_prize(v, ps[k]) == full[k], (terms, ps[k])
+
+    @pytest.mark.parametrize("terms", [1000, 70_000])
+    def test_chunked_rows_bitwise_equal_to_scalar(self, terms):
+        """Past the chunk size the curve goes a chunk of rows at a time (one
+        row when a row alone is larger); every value keeps the scalar's bits."""
+        rng = np.random.default_rng(14)
+        n = 2 * terms
+        ranks = np.sort(rng.choice(np.arange(1, n + 1), size=terms, replace=False))
+        weights = rng.uniform(0.1, 1.0, size=terms)
+        v = PrizeVector(n, float(weights.sum()), ranks.tolist(), weights.tolist())
+        rows = max(1, contest_module._CHUNK_ELEMENTS // terms)
+        count = 3 * rows + 2 if terms < contest_module._CHUNK_ELEMENTS else 3
+        ps = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=count - 2)))
+        assert ps.size * terms > contest_module._CHUNK_ELEMENTS
+        got = expected_prize_curve(v, ps)
+        want = np.array([expected_prize(v, p) for p in ps])
+        assert got.tobytes() == want.tobytes()
+        grid = expected_prize_curve(v, ps[: 2 * (count // 2)].reshape(2, -1))
+        assert grid.tobytes() == want[: 2 * (count // 2)].tobytes()
+
+    def test_curve_temporary_is_bounded(self):
+        """400 points against a 5000-term contest peaked at 30 MiB when the
+        points x terms array was built whole."""
+        values = np.linspace(2.0, 1.0, 5000)
+        v = validate_contest(values / values.sum(), 1.0)
+        ps = np.linspace(0.0, 1.0, 400)
+        tracemalloc.start()
+        try:
+            expected_prize_curve(v, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestWTransform:

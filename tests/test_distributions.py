@@ -260,6 +260,27 @@ class TestDiscretize:
         assert a.n == 50
         np.testing.assert_allclose(a.w, 1.0 / 400.0)
 
+    def test_separates_a_degenerate_rectangle(self):
+        """A rectangle of zero quality width draws one quality m times; the
+        jitter separates them deterministically within 1e-9 of the range."""
+        jd = RectMixture((RectComponent(1.0, 1.0, 0.1, 0.2, 0.5), RectComponent(0.0, 2.0, 0.1, 0.3, 0.5)))
+        a = discretize(jd, 400, seed=5, n=50)
+        b = discretize(jd, 400, seed=5, n=50)
+        assert a.q.tobytes() == b.q.tobytes()
+        assert np.unique(a.q).size == 400
+        assert np.sum(np.abs(a.q - 1.0) <= 1e-9 * 2.0) >= 200
+
+    def test_keeps_distinct_draws_unchanged(self):
+        """Without duplicates the support holds the uniform draws bit for bit."""
+        jd = two_cluster()
+        types = discretize(jd, 400, seed=11)
+        rng = np.random.default_rng(11)
+        raw = []
+        for comp, count in zip(jd.components, (200, 200)):
+            raw.append(comp.q_lo + rng.random(count) * (comp.q_hi - comp.q_lo))
+            rng.random(count)  # the costs
+        assert types.q.tobytes() == np.concatenate(raw).tobytes()
+
     def test_rejects_a_law_without_rectangles(self):
         for law in (Uniform(0.0, 1.0), EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.5])):
             with pytest.raises(ValidationError, match="rect_mixture"):

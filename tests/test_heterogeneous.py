@@ -23,10 +23,12 @@ from contest_forge.errors import (
     BudgetTooSmall,
     IndexOutOfRange,
     NoLowCostMass,
+    PopulationTooLarge,
     ProfileNotSubEquilibrium,
     ValidationError,
 )
 from contest_forge.heterogeneous import (
+    MAX_MC_DRAWS,
     ParticipationProfile,
     _beat_probabilities,
     _output_cdfs,
@@ -96,6 +98,45 @@ def bracket_oracle(contest, types):
             return lower, upper
         lower, upper = new_lower, new_upper
     raise AssertionError(f"bracket did not stabilize in {10 * size} rounds")
+
+
+def sweep_oracle(contest, types):
+    """The equilibrium sweep that evaluates the prize curve over the whole
+    undecided tail in every round. Returns (mask, rounds)."""
+    order = np.argsort(-types.q, kind="stable")
+    c = types.c[order]
+    w = types.w[order]
+    alive = np.ones(types.support_size, dtype=bool)
+    start = 0
+    rounds = 0
+    while (undecided := start + np.flatnonzero(alive[start:])).size:
+        rounds += 1
+        above = np.concatenate(([0.0], np.cumsum(np.where(alive, w, 0.0))[:-1]))
+        prizes = expected_prize_curve(contest, above[undecided])
+        failed = np.flatnonzero(c[undecided] > prizes)
+        if failed.size == 0:
+            break
+        first = failed[0]
+        later = undecided[first + 1 :]
+        alive[undecided[first]] = False
+        alive[later[c[later] > prizes[first] * (1.0 + heterogeneous._DEFER_RTOL)]] = False
+        start = undecided[first] + 1
+    mask = np.empty_like(alive)
+    mask[order] = alive
+    return mask, rounds
+
+
+def count_curve_points(monkeypatch):
+    """Spy on heterogeneous.expected_prize_curve; returns the number of points
+    of each call."""
+    sizes = []
+
+    def spy(contest, ps):
+        sizes.append(np.size(ps))
+        return expected_prize_curve(contest, ps)
+
+    monkeypatch.setattr(heterogeneous, "expected_prize_curve", spy)
+    return sizes
 
 
 def criterion_09_types(rng, m=400, n=50):
@@ -373,6 +414,82 @@ class TestEquilibriumSweep:
             assert eq.profile.mask[top]
 
 
+# the hetero-eq CLI example: a two-rectangle law and a 3-prize contest over 6 ranks
+RECT_LAW = RectMixture(
+    (RectComponent(0.0, 1.0, 0.05, 0.3, 0.6), RectComponent(0.5, 2.0, 0.1, 0.8, 0.4))
+)
+THREE_PRIZES = validate_contest((0.5, 0.3, 0.2, 0.0, 0.0, 0.0), 1.0)
+
+
+class TestSweepWork:
+    """The sweep reads the prize curve in blocks up to each round's first
+    failure; profiles and round counts match the full-tail sweep."""
+
+    def test_matches_full_tail_sweep_on_criterion_09_instances(self):
+        rng = np.random.default_rng(2025)
+        n = 50
+        entered = 0
+        for _ in range(16):
+            types = criterion_09_types(rng, n=n)
+            contests = [random_general_contest(rng, n)]
+            contests += [make_simple_contest(j, 1.0, n) for j in range(1, 13)]
+            for contest in contests:
+                eq = equilibrium(contest, types)
+                mask, rounds = sweep_oracle(contest, types)
+                np.testing.assert_array_equal(eq.profile.mask, mask)
+                assert eq.iterations == rounds
+                entered += eq.profile.count
+        assert entered > 0
+
+    def test_matches_full_tail_sweep_at_ten_thousand_points(self, monkeypatch):
+        types = discretize(RECT_LAW, 10_000, 3, n=6)
+        mask, rounds = sweep_oracle(THREE_PRIZES, types)
+        sizes = count_curve_points(monkeypatch)
+        eq = equilibrium(THREE_PRIZES, types)
+        np.testing.assert_array_equal(eq.profile.mask, mask)
+        assert eq.iterations == rounds > 50
+        # a round reads fewer than twice the points it passes, plus one block,
+        # and every point it passes enters for good
+        assert sum(sizes) <= 2 * types.support_size + 32 * rounds
+
+    def test_priced_out_support_reads_one_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 50
+        for _ in range(5):
+            contest = random_general_contest(rng, n)
+            types = criterion_09_types(rng, n=n)
+            dear = EmpiricalTypes(q=types.q, c=types.c + contest.values[0], w=types.w, n=n)
+            sizes = count_curve_points(monkeypatch)
+            eq = equilibrium(contest, dear)
+            assert eq.profile.count == 0 and eq.iterations == 1
+            assert sum(sizes) <= 32
+
+    def test_full_entry_reads_each_point_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 50
+        for m in (1, 31, 32, 33, 400, 1000):
+            types = criterion_09_types(rng, m=m, n=n)
+            cheap = EmpiricalTypes(q=types.q, c=types.c * 1e-3, w=types.w, n=n)
+            sizes = count_curve_points(monkeypatch)
+            eq = equilibrium(make_simple_contest(n, 1.0, n), cheap)
+            assert eq.profile.count == m and eq.iterations == 1
+            assert sum(sizes) == m
+
+    def test_best_response_reads_one_point_per_level(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        n = 50
+        for _ in range(20):
+            types = criterion_09_types(rng, m=int(rng.integers(1, 300)), n=n)
+            contest = random_general_contest(rng, n)
+            profile = random_profile(rng, types.support_size)
+            sizes = count_curve_points(monkeypatch)
+            response = best_response(contest, types, profile)
+            assert sizes == [len(set(_beat_probabilities(types, profile)))]
+            assert sizes[0] <= profile.count + 1
+            full = expected_prize_curve(contest, _beat_probabilities(types, profile))
+            np.testing.assert_array_equal(response.mask, types.c <= full)
+
+
 class TestIsSubEquilibrium:
     def test_equilibrium_passes(self):
         bracket = equilibrium(WTA2, TWO_POINT)
@@ -509,6 +626,19 @@ class TestMcObjective:
         a = mc_objective(TWO_POINT, rule, 4, "max", 1000, 99)
         b = mc_objective(TWO_POINT, rule, 4, "max", 1000, 99)
         assert a.mean == b.mean and a.std_error == b.std_error
+
+    def test_draw_limit(self):
+        """replicas x n up to MAX_MC_DRAWS runs; past it, or past int64,
+        raises before any allocation."""
+        rule = lambda q, c: q > 1.5
+        side = 2**10
+        assert side * side == MAX_MC_DRAWS
+        est = mc_objective(TWO_POINT, rule, side, "max", side, 0)
+        assert est.mean == 2.0 and est.replicas == side
+        for replicas, n in ((side + 1, side), (2, MAX_MC_DRAWS // 2 + 1),
+                            (10**15, 10**6), (np.int64(2**32), np.int64(2**32))):
+            with pytest.raises(PopulationTooLarge, match="Monte Carlo"):
+                mc_objective(TWO_POINT, rule, n, "max", replicas, 0)
 
     def test_gates(self):
         rule = lambda q, c: np.ones_like(q, dtype=bool)
