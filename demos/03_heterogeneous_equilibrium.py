@@ -8,7 +8,7 @@ intervals, but an entrant's chance of being beaten depends only on the
 entrants of higher quality. Deciding the support points from the top
 quality down therefore fixes the unique equilibrium, and since more rivals
 in means a smaller expected prize, a point that cannot afford to enter at
-some stage never can later. The solver batches this into a few sweeps.
+some stage never can later. The solver decides them in one such scan.
 """
 
 import numpy as np

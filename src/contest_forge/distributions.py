@@ -386,8 +386,9 @@ def discretize(jd: RectMixture, m: int, seed, *, n: int | None = None) -> Empiri
     ``MAX_SUPPORT_POINTS`` (10^5) raises :class:`PopulationTooLarge` before
     any allocation: ``hetero-eq`` prints every participant's index and
     ``wta_approx_experiment`` solves up to n equilibria on one support. One
-    general-contest equilibrium takes about 0.08 s at 10^5 points and 0.5 s
-    at 10^6 (2-core x86 host).
+    general-contest equilibrium takes 0.03-0.06 s at 10^5 points and
+    0.3-0.55 s at 10^6 (2-core x86 host shared with other jobs; the ranges
+    are the spread between quiet and busy runs).
     """
     if not isinstance(jd, RectMixture):
         raise ValidationError(

@@ -6,19 +6,22 @@ structure: an agent participates iff its cost is at most the expected prize
 at its beat probability (ties toward participation). Qualities are pairwise
 distinct, so a point's beat probability is the entering mass of the points
 above it, and deciding the points in decreasing quality fixes the unique
-equilibrium. :func:`equilibrium` does so in batched sweeps over the
-undecided points; because the expected prize only falls as more mass
-enters, a point that fails once fails for good. Each sweep reads the prize
-curve in doubling blocks from its first undecided point and stops at the
-block with its first failure, so a solve does work linear in the support
-size; :func:`best_response` evaluates the curve once per distinct beat
-probability.
+equilibrium. :func:`equilibrium` does so in one scan that keeps the
+entering mass as a running sum; because the expected prize only falls as
+more mass enters, a point whose cost exceeds the prize at a failure above it
+fails too, unread. The scan reads the prize curve speculatively, at the
+masses the next points would have if they all entered, and keeps those
+reads across failures: a failure leaves the mass unchanged, and on the
+equal-weight supports that :func:`~contest_forge.distributions.discretize`
+builds the masses after each entrant are the ones read. A solve is linear
+in the support size; :func:`best_response` evaluates the curve once per
+distinct beat probability.
 
 Participation profiles here are masks over the support of an
 :class:`~contest_forge.distributions.EmpiricalTypes`; the distinct-q
 invariant of that class is what makes strict rank comparisons safe. The
 decreasing-quality order belongs to the support, not to a contest: the
-support sorts it once, and the sweep, the beat probabilities and
+support sorts it once, and the scan, the beat probabilities and
 :func:`rule_from_profile` all read that stored order. The experiments solve
 each distinct contest once; winner-take-all is M^1.
 
@@ -90,13 +93,14 @@ __all__ = [
 
 _IR_TOL = 1e-12
 _FOSD_TOL = 1e-12
-# relative distance above the failing point's prize within which the
-# equilibrium sweep leaves a later point to its own evaluation: the prize
-# curve falls in p but its kernel need not, bit for bit, so any value above a
-# few ulps changes only the round count.
+# relative distance above a failing point's prize within which the
+# equilibrium scan still compares a later point's cost with its own prize:
+# the prize curve falls in p but its kernel need not, bit for bit, so any
+# value above a few ulps changes only how many points are read.
 _DEFER_RTOL = 1e-12
-# points in the first block of an equilibrium round; each block without a
-# failure doubles the next
+# curve elements (points x mixture terms) of the first speculative read of an
+# equilibrium scan, and of each read after a mismatched mass; a read used up
+# doubles the next
 _FIRST_BLOCK = 32
 # largest replicas x n that mc_objective draws; see its docstring
 MAX_MC_DRAWS = 2**20
@@ -104,12 +108,18 @@ MAX_MC_DRAWS = 2**20
 
 @dataclass(frozen=True, eq=False)
 class ParticipationProfile:
-    """Boolean participation mask aligned with an EmpiricalTypes support."""
+    """Boolean participation mask aligned with an EmpiricalTypes support.
+
+    ``mask`` is a read-only copy of the given array, so neither the caller
+    nor a reader can change a profile, or its hash, afterwards.
+    """
 
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
+        mask = np.array(self.mask, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
         if self.mask.ndim != 1:
             raise ValidationError("profile mask must be one-dimensional")
 
@@ -146,9 +156,9 @@ class ParticipationProfile:
 class EquilibriumBracket:
     """The equilibrium of :func:`equilibrium`.
 
-    The sweep finds the equilibrium itself, so ``lower`` and ``upper`` are
+    The scan finds the equilibrium itself, so ``lower`` and ``upper`` are
     both that profile and ``converged`` is always true; ``iterations`` counts
-    sweep rounds.
+    rounds, as :func:`equilibrium` defines them.
     """
 
     lower: ParticipationProfile
@@ -239,73 +249,86 @@ def best_response(
 
 
 def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBracket:
-    """The unique equilibrium, by sweeps in decreasing quality.
+    """The unique equilibrium, by one scan in decreasing quality.
 
     A point's beat probability is the entering mass above it, so the points
     are decided from the top down, in the decreasing-quality order the
-    support stores (no sort here). Each round assumes every undecided point
-    enters and evaluates the expected prize at their beat probabilities.
-    Every point before the first failure enters, since the points above it
-    are now final; the failing point stays out; and so does every later
-    point whose cost exceeds the prize at the failure, since its beat
-    probability can only be higher. Each round decides at least one point,
-    so there are at most ``support_size`` rounds.
+    support stores (no sort here). The scan keeps that mass as a running
+    sum and lets each point enter iff its cost is at most the prize at the
+    mass, the comparison :func:`best_response` makes: the prize at p depends
+    only on p, and the running sum has the bits of the sequential sum over
+    the entrants, so the result is its fixed point. The expected prize only
+    falls as more mass enters, so a point whose cost exceeds the prize at a
+    failure stays out unread; the curve need not fall bit for bit in p, so a
+    point within ``_DEFER_RTOL`` of that prize is read.
 
-    A round reads only what its decision needs. It walks the support in
-    blocks from its first undecided point: ``_FIRST_BLOCK`` points, then
-    twice as many after each block without a failure, and stops at the
-    first block with one. Below every failure so far a point is undecided
-    iff its cost is at most the least prize at a failure, so a block finds
-    its undecided points, and their entering mass above, from its own
-    slice. A round thus touches fewer than twice as many points as it
-    decides, plus one block, and a solve is linear in the support size.
-
-    The prize at p depends only on p, so a point enters on the bits
-    :func:`best_response` compares: the result is its fixed point. The
-    masses are one sequential sum chained across blocks, with the bits of
-    the sum over the whole support. The curve need not fall bit for bit in
-    p, so a later point whose cost lies within ``_DEFER_RTOL`` of the prize
-    at the failure waits for its own evaluation.
+    Reads are speculative. Where the prize at the current mass is unknown,
+    one curve call evaluates the masses that the next ``block`` undecided
+    points would have if they all entered. The scan moves along those masses
+    while the mass after each entrant matches the next one bit for bit, which
+    it always does on equal weights; a failure leaves the mass, and so its
+    known prize, as it is. ``block`` starts at ``_FIRST_BLOCK`` points
+    shared among the contest's mixture terms, doubles each time a read is
+    used up and starts over after a mismatch. ``iterations`` counts rounds:
+    the failures, plus one if an entrant follows the last of them, as in a
+    sweep that restarts below each failure.
     """
     _population(contest, types)
     order = types._order
-    c = types.c[order]
-    w = types.w[order]
-    size = types.support_size
-    entered = np.zeros(size, dtype=bool)  # in q order
-    cap = math.inf  # below every failure, a point is undecided iff c <= cap
-    start = 0  # every point above ``start`` is decided
-    base = 0.0  # entering mass above ``start``
-    rounds = 0
-    while start < size:
-        lo, block, opened = start, _FIRST_BLOCK, False
-        while lo < size:
-            live = c[lo : lo + block] <= cap
-            if (undecided := np.flatnonzero(live)).size:  # else the block adds no mass
-                rounds += not opened
-                opened = True
-                masked = np.where(live, w[lo : lo + block], 0.0)
-                above = np.cumsum(np.concatenate(([base], masked)))
-                prizes = expected_prize_curve(contest, above[undecided])
-                failed = np.flatnonzero(c[lo + undecided] > prizes)
-                if failed.size:
-                    first = undecided[failed[0]]
-                    entered[lo : lo + first] = live[:first]
-                    cap = min(cap, prizes[failed[0]] * (1.0 + _DEFER_RTOL))
-                    base = above[first]
-                    start = lo + first + 1
-                    break
-                entered[lo : lo + block] = live
-                base = above[-1]
-            lo, block = lo + block, 2 * block
+    c_desc, w_desc = types.c[order], types.w[order]
+    c, w = c_desc.tolist(), w_desc.tolist()
+    first = max(1, _FIRST_BLOCK // max(1, len(contest.ranks)))
+    block = first
+    entrants = []  # positions in q order
+    cap = math.inf  # a point with c > cap fails unread
+    mass = 0.0  # entering mass above the current point
+    # the last read: the prize at masses[k] is prizes[k]; a NaN ends masses,
+    # so one comparison finds a read used up or mismatched
+    masses, prizes, k = [math.nan], [], 0
+    failures, last_failure = 0, -1
+    for i, ci in enumerate(c):
+        if ci > cap:
+            continue
+        if masses[k] != mass:  # read used up (double the block) or mismatched
+            block = 2 * block if k == len(prizes) and prizes else first
+            masses = _speculative_masses(c_desc, w_desc, i, cap, mass, block)
+            prizes = expected_prize_curve(contest, masses).tolist()
+            masses = masses.tolist() + [math.nan]
+            k = 0
+        if ci <= prizes[k]:
+            entrants.append(i)
+            mass += w[i]
+            k += 1
         else:
-            break
-    mask = np.empty_like(entered)
-    mask[order] = entered
+            cap = min(cap, prizes[k] * (1.0 + _DEFER_RTOL))
+            failures += 1
+            last_failure = i
+    mask = np.zeros(types.support_size, dtype=bool)
+    mask[order[np.array(entrants, dtype=np.intp)]] = True
     profile = ParticipationProfile(mask)
+    tail = bool(entrants) and entrants[-1] > last_failure
     return EquilibriumBracket(
-        lower=profile, upper=profile, converged=True, iterations=rounds
+        lower=profile, upper=profile, converged=True, iterations=failures + tail
     )
+
+
+def _speculative_masses(
+    c: np.ndarray, w: np.ndarray, i: int, cap: float, mass: float, block: int
+) -> np.ndarray:
+    """Masses above the first ``block`` points from i on with c <= cap, if all enter.
+
+    Point i is one of them. The sum is sequential from ``mass``, so each
+    mass has the bits of the scan's running sum after the same entrants.
+    """
+    span = block  # widened until it holds block such points or reaches the end
+    while True:
+        live = np.flatnonzero(c[i : i + span] <= cap)
+        if live.size >= block or i + span >= c.size:
+            break
+        span *= 4
+    live = i + live[:block]
+    # a mass sums the weights above its point, so the last weight is left out
+    return np.cumsum(np.concatenate(([mass], w[live[:-1]])))
 
 
 def is_sub_equilibrium(

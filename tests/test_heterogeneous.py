@@ -126,6 +126,14 @@ def sweep_oracle(contest, types):
     return mask, rounds
 
 
+def doubling_reads(entrants, contest):
+    """The most curve calls of an equilibrium scan whose every read is used
+    up before the next: reads of b, 2b, 4b, ... masses with
+    b = max(1, 32 // terms), one mass consumed per entrant."""
+    first = max(1, 32 // max(1, len(contest.ranks)))
+    return math.floor(math.log2(entrants / first + 1)) + 1
+
+
 def count_curve_points(monkeypatch):
     """Spy on heterogeneous.expected_prize_curve; returns the number of points
     of each call."""
@@ -160,6 +168,33 @@ def criterion_09_types(rng, m=400, n=50):
     return discretize(RectMixture(tuple(comps)), m, int(rng.integers(0, 2**31)), n=n)
 
 
+def block_weight_types(rng, types):
+    """``types`` with weights equal within runs of consecutive points in q
+    order and different between runs."""
+    size = types.support_size
+    count = int(rng.integers(1, min(size, 8) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, size), size=count - 1, replace=False))
+    runs = np.diff(np.concatenate(([0], cuts, [size])))
+    w_desc = np.repeat(rng.uniform(0.2, 1.0, size=runs.size), runs)
+    w = np.empty(size)
+    w[types._order] = w_desc / w_desc.sum()
+    return EmpiricalTypes(q=types.q, c=types.c, w=w, n=types.n)
+
+
+def with_ties(contest, types):
+    """Put every participant just below a non-participant (in q) onto its
+    tie c_i = c(beat_i), as best_response computes it. Returns the tied
+    support and the tied points."""
+    eq = equilibrium(contest, types).profile
+    prizes = expected_prize_curve(contest, _beat_probabilities(types, eq))
+    order = np.argsort(-types.q, kind="stable")
+    mask_desc = eq.mask[order]
+    ties = order[1:][mask_desc[1:] & ~mask_desc[:-1]]
+    c = types.c.copy()
+    c[ties] = prizes[ties]
+    return EmpiricalTypes(q=types.q, c=c, w=types.w, n=types.n), ties
+
+
 def random_general_contest(rng, n):
     """Budget-exhausting, geometrically decaying prizes on at least 2 top ranks,
     top-heavy enough that some criterion-09 types enter."""
@@ -182,6 +217,18 @@ class TestParticipationProfile:
         assert a == b and a != c
         assert a.subset_of(c) and not c.subset_of(a)
         assert hash(a) == hash(b)
+
+    def test_keeps_a_read_only_copy(self):
+        source = np.array([True, False, True])
+        profile = ParticipationProfile(source)
+        before = hash(profile)
+        source[1] = True
+        assert profile.mask.tolist() == [True, False, True]
+        assert hash(profile) == before
+        assert profile == ParticipationProfile(np.array([True, False, True]))
+        with pytest.raises(ValueError, match="read-only"):
+            profile.mask[0] = False
+        assert profile.count == 2
 
 
 class TestBeatProbability:
@@ -357,6 +404,65 @@ class TestEquilibriumSweep:
         assert 1 <= eq.iterations <= types.support_size + 1
         return eq
 
+    def check_against_both(self, contest, types):
+        eq = self.check_against_oracle(contest, types)
+        mask, rounds = sweep_oracle(contest, types)
+        np.testing.assert_array_equal(eq.profile.mask, mask)
+        assert eq.iterations == rounds
+        return eq
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_matches_oracles_on_unequal_weights(self, general, monkeypatch):
+        """On unequal weights the mass after an entrant that follows a
+        failure is not a mass already read, so the scan reads again; some
+        solves read more often than the doubling schedule allows."""
+        rng = np.random.default_rng(31 + general)
+        n = 50
+        sizes = count_curve_points(monkeypatch)
+        rereads = 0
+        for m in (1, 2, 3, 5, 8, 13, 31, 32, 33, 64, 100, 150, 199, 250, 300):
+            for _ in range(3):
+                types = random_types(rng, m, n)
+                contest = (
+                    random_general_contest(rng, n) if general
+                    else make_simple_contest(int(rng.integers(1, 13)), 1.0, n)
+                )
+                before = len(sizes)
+                eq = equilibrium(contest, types)
+                reads = len(sizes) - before
+                rereads += reads > doubling_reads(eq.profile.count, contest)
+                self.check_against_both(contest, types)
+        assert rereads > 0
+
+    def test_matches_oracles_on_block_equal_weights(self):
+        rng = np.random.default_rng(41)
+        n = 50
+        for _ in range(8):
+            m = int(rng.integers(1, 400))
+            types = block_weight_types(rng, criterion_09_types(rng, m=m, n=n))
+            contests = [random_general_contest(rng, n)]
+            contests += [make_simple_contest(j, 1.0, n) for j in (1, 2, 5, 12)]
+            for contest in contests:
+                self.check_against_both(contest, types)
+
+    @pytest.mark.parametrize("weights", ["random", "blocks"])
+    def test_cost_equal_to_prize_ties_on_unequal_weights(self, weights):
+        n = 50
+        tied = 0
+        for seed in range(8):
+            rng = np.random.default_rng(500 + seed)
+            types = (
+                random_types(rng, int(rng.integers(20, 300)), n) if weights == "random"
+                else block_weight_types(rng, criterion_09_types(rng, m=300, n=n))
+            )
+            for contest in (random_general_contest(rng, n),
+                            make_simple_contest(int(rng.integers(1, 13)), 1.0, n)):
+                tie_types, ties = with_ties(contest, types)
+                got = self.check_against_both(contest, tie_types)
+                assert np.all(got.profile.mask[ties])
+                tied += ties.size
+        assert tied > 0
+
     def test_matches_bracket_oracle_on_criterion_09_instances(self):
         rng = np.random.default_rng(2024)
         n = 50
@@ -387,14 +493,7 @@ class TestEquilibriumSweep:
                 random_general_contest(rng, n) if general
                 else make_simple_contest(int(rng.integers(1, 13)), 1.0, n)
             )
-            eq = equilibrium(contest, types).profile
-            prizes = expected_prize_curve(contest, _beat_probabilities(types, eq))
-            order = np.argsort(-types.q, kind="stable")
-            mask_desc = eq.mask[order]
-            ties = order[1:][mask_desc[1:] & ~mask_desc[:-1]]
-            c = types.c.copy()
-            c[ties] = prizes[ties]
-            tie_types = EmpiricalTypes(q=types.q, c=c, w=types.w, n=n)
+            tie_types, ties = with_ties(contest, types)
             got = self.check_against_oracle(contest, tie_types)
             assert np.all(got.profile.mask[ties])
             tied += ties.size
@@ -422,24 +521,30 @@ THREE_PRIZES = validate_contest((0.5, 0.3, 0.2, 0.0, 0.0, 0.0), 1.0)
 
 
 class TestSweepWork:
-    """The sweep reads the prize curve in blocks up to each round's first
-    failure; profiles and round counts match the full-tail sweep."""
+    """The scan reads the prize curve speculatively and keeps its reads
+    across failures; profiles and round counts match the full-tail sweep."""
 
-    def test_matches_full_tail_sweep_on_criterion_09_instances(self):
+    def test_matches_full_tail_sweep_on_criterion_09_instances(self, monkeypatch):
+        """The supports have equal weights, so the mass after each entrant is
+        one already read and a scan makes O(log m) curve calls, however many
+        points fail."""
         rng = np.random.default_rng(2025)
         n = 50
-        entered = 0
+        entered = failed = 0
         for _ in range(16):
             types = criterion_09_types(rng, n=n)
             contests = [random_general_contest(rng, n)]
             contests += [make_simple_contest(j, 1.0, n) for j in range(1, 13)]
             for contest in contests:
+                sizes = count_curve_points(monkeypatch)
                 eq = equilibrium(contest, types)
+                assert len(sizes) <= doubling_reads(eq.profile.count, contest)
                 mask, rounds = sweep_oracle(contest, types)
                 np.testing.assert_array_equal(eq.profile.mask, mask)
                 assert eq.iterations == rounds
                 entered += eq.profile.count
-        assert entered > 0
+                failed += rounds > 1
+        assert entered > 0 and failed > 0
 
     def test_matches_full_tail_sweep_at_ten_thousand_points(self, monkeypatch):
         types = discretize(RECT_LAW, 10_000, 3, n=6)
@@ -451,18 +556,27 @@ class TestSweepWork:
         # a round reads fewer than twice the points it passes, plus one block,
         # and every point it passes enters for good
         assert sum(sizes) <= 2 * types.support_size + 32 * rounds
+        # equal weights: every read is used up, whatever fails (the full-tail
+        # sweep reads 188 times here)
+        assert len(sizes) <= doubling_reads(eq.profile.count, THREE_PRIZES) == 10
 
     def test_priced_out_support_reads_one_block(self, monkeypatch):
+        """The first read holds 32 curve elements: max(1, 32 // T) points
+        against a T-term contest."""
         rng = np.random.default_rng(3)
         n = 50
-        for _ in range(5):
-            contest = random_general_contest(rng, n)
+        contests = [random_general_contest(rng, n) for _ in range(5)]
+        contests.append(validate_contest(tuple(np.linspace(0.1, 0.05, 26) / 1.95) + (0.0,) * 24, 1.0))
+        contests += [make_simple_contest(j, 1.0, n) for j in (1, 30)]
+        assert len(contests[5].ranks) == 26
+        for contest in contests:
             types = criterion_09_types(rng, n=n)
             dear = EmpiricalTypes(q=types.q, c=types.c + contest.values[0], w=types.w, n=n)
             sizes = count_curve_points(monkeypatch)
             eq = equilibrium(contest, dear)
             assert eq.profile.count == 0 and eq.iterations == 1
             assert sum(sizes) <= 32
+            assert sizes == [max(1, 32 // len(contest.ranks))]
 
     def test_full_entry_reads_each_point_once(self, monkeypatch):
         rng = np.random.default_rng(4)
