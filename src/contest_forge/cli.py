@@ -53,18 +53,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _round_floats(obj):
+def _round_floats(obj, memo: dict):
+    """``obj`` with every float rounded to 12 significant digits.
+
+    ``memo`` maps each float already rounded to its rounding, so a contest's
+    n prizes cost one ``format`` per distinct value. Zeros round to
+    themselves and skip it: 0.0 and -0.0 are one dict key.
+    """
     if isinstance(obj, float):
-        return float(format(obj, ".12g"))
+        if not obj:
+            return float(obj)
+        rounded = memo.get(obj)
+        if rounded is None:
+            rounded = memo[obj] = float(format(obj, ".12g"))
+        return rounded
     if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
+        return {key: _round_floats(value, memo) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(value) for value in obj]
+        return [_round_floats(value, memo) for value in obj]
     return obj
 
 
 def _json_text(payload) -> str:
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    return json.dumps(_round_floats(payload, {}), indent=2) + "\n"
 
 
 def _cell(value) -> str:

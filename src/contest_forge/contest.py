@@ -16,12 +16,13 @@ split the budget equally among the top j ranks:
     c(p) = sum_{w_j > 0} (w_j / j) * S_j(p),   S_j(p) = Pr[B(n-1, p) <= j-1]
 
 A :class:`PrizeVector` stores this mixture, so a simple contest is one term
-at any n, and builds the n prizes only when they are read. Both
-``expected_prize`` and ``expected_prize_curve`` sum each point's mixture terms,
-from the binomial kernel ``numerics.rank_cdf``, along a contiguous last axis,
-so c(p) depends only on the contest and p: a scalar, any shape, subset or order
-give the same bits. The test suite checks both against a rank-probability dot
-product computed independently.
+at any n, and builds the n prizes only when they are read. It also keeps the
+binomial kernel prepared for its ranks (``numerics.RankKernel``), so a scalar
+``expected_prize`` costs one incomplete-beta call, one multiply and one sum.
+Both ``expected_prize`` and ``expected_prize_curve`` sum each point's mixture
+terms along a contiguous last axis, so c(p) depends only on the contest and p:
+a scalar, any shape, subset or order give the same bits. The test suite
+checks both against a rank-probability dot product computed independently.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     PopulationTooLarge,
     ValidationError,
 )
-from .numerics import rank_cdf
+from .numerics import RankKernel
 
 __all__ = [
     "PrizeVector",
@@ -126,6 +127,11 @@ class PrizeVector:
         return math.fsum(self.weights)
 
     @cached_property
+    def _kernel(self) -> RankKernel:
+        """S_j for the mixture's ranks j, prepared once for this contest."""
+        return RankKernel(self.n, self._mixture[0])
+
+    @cached_property
     def _mixture_slope(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j - 1, n - j - 1, log(w_j / j) - betaln(n - j, j)) over j < n with w_j > 0.
 
@@ -203,23 +209,26 @@ def _prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
     Rows are independent, so above ``_CHUNK_ELEMENTS`` points x terms they
     are evaluated a chunk of rows at a time, with the same bits.
     """
-    js, coef = contest._mixture
-    if ps.size * js.size <= _CHUNK_ELEMENTS:
-        return np.add.reduce(rank_cdf(contest.n, js, ps[..., None]) * coef, axis=-1)
+    kernel, coef = contest._kernel, contest._mixture[1]
+    if ps.size * coef.size <= _CHUNK_ELEMENTS:
+        return np.add.reduce(kernel(ps[..., None]) * coef, axis=-1)
     flat = ps.reshape(-1)
     out = np.empty(flat.size)
-    rows = max(1, _CHUNK_ELEMENTS // js.size)
+    rows = max(1, _CHUNK_ELEMENTS // coef.size)
     for lo in range(0, flat.size, rows):
-        chunk = flat[lo : lo + rows, None]
-        out[lo : lo + rows] = np.add.reduce(rank_cdf(contest.n, js, chunk) * coef, axis=-1)
+        out[lo : lo + rows] = np.add.reduce(kernel(flat[lo : lo + rows, None]) * coef, axis=-1)
     return out.reshape(ps.shape)
 
 
 def expected_prize(contest: PrizeVector, p: float) -> float:
-    """Expected prize at independent-loss probability p (the curve c(p))."""
+    """Expected prize at independent-loss probability p (the curve c(p)).
+
+    The one row of terms that ``expected_prize_curve`` sums for p, with the
+    same bits, without its broadcasting.
+    """
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
-    return float(_prize_curve(contest, np.asarray(p, dtype=float)))
+    return float(np.add.reduce(contest._kernel(float(p)) * contest._mixture[1]))
 
 
 def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:

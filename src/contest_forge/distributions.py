@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -214,6 +215,8 @@ class EmpiricalTypes:
     a validated support cannot change afterwards. The support also keeps its
     points' decreasing-quality order (``_order``, read-only), the order in
     which the heterogeneous equilibrium is decided; it is sorted once here.
+    The costs and weights in that order (``_by_quality``) are built once, on
+    first use.
     """
 
     q: np.ndarray
@@ -248,6 +251,13 @@ class EmpiricalTypes:
     @property
     def support_size(self) -> int:
         return int(self.q.size)
+
+    @cached_property
+    def _by_quality(self) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+        """(c, w, c, w) in decreasing quality: read-only arrays, then as tuples of floats."""
+        c_desc, w_desc = self.c[self._order], self.w[self._order]
+        c_desc.flags.writeable = w_desc.flags.writeable = False
+        return c_desc, w_desc, tuple(c_desc.tolist()), tuple(w_desc.tolist())
 
     def with_n(self, n: int) -> "EmpiricalTypes":
         return replace(self, n=n)

@@ -229,7 +229,7 @@ def _beat_probabilities(
     """Vectorised beat_probability over the whole support."""
     order = types._order
     out = np.empty(types.support_size)
-    out[order] = _mass_above(types.w[order], profile.mask[order])
+    out[order] = _mass_above(types._by_quality[1], profile.mask[order])
     return out
 
 
@@ -253,14 +253,15 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
 
     A point's beat probability is the entering mass above it, so the points
     are decided from the top down, in the decreasing-quality order the
-    support stores (no sort here). The scan keeps that mass as a running
-    sum and lets each point enter iff its cost is at most the prize at the
-    mass, the comparison :func:`best_response` makes: the prize at p depends
-    only on p, and the running sum has the bits of the sequential sum over
-    the entrants, so the result is its fixed point. The expected prize only
-    falls as more mass enters, so a point whose cost exceeds the prize at a
-    failure stays out unread; the curve need not fall bit for bit in p, so a
-    point within ``_DEFER_RTOL`` of that prize is read.
+    support stores with its costs and weights (no sort or copy here). The
+    scan keeps that mass as a running sum and lets each point enter iff its
+    cost is at most the prize at the mass, the comparison
+    :func:`best_response` makes: the prize at p depends only on p, and the
+    running sum has the bits of the sequential sum over the entrants, so the
+    result is its fixed point. The expected prize only falls as more mass
+    enters, so a point whose cost exceeds the prize at a failure stays out
+    unread; the curve need not fall bit for bit in p, so a point within
+    ``_DEFER_RTOL`` of that prize is read.
 
     Reads are speculative. Where the prize at the current mass is unknown,
     one curve call evaluates the masses that the next ``block`` undecided
@@ -275,8 +276,7 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
     """
     _population(contest, types)
     order = types._order
-    c_desc, w_desc = types.c[order], types.w[order]
-    c, w = c_desc.tolist(), w_desc.tolist()
+    c_desc, w_desc, c, w = types._by_quality
     first = max(1, _FIRST_BLOCK // max(1, len(contest.ranks)))
     block = first
     entrants = []  # positions in q order

@@ -31,9 +31,12 @@ Newton steps on the sign bracket [0, 1], with values from
 
     dS_j/dp = -(1-p)^(n-j-1) p^(j-1) / B(n-j, j),
 
-and S_n = 1 has none. A step costs one curve evaluation and one sum of
-exponentials over constants cached per contest; about 6 steps meet the
-residual contract where bisection took about 30.
+and S_n = 1 has none. A step costs one curve evaluation, which is one
+incomplete-beta call on the binomial kernel the contest keeps prepared for
+its ranks, and one sum of exponentials over constants cached per contest;
+about 6 steps meet the residual contract where bisection took about 30.
+The two design searches read each j of a bracket of at most 65 once, in one
+kernel call, so at n <= 65 ``c_star`` costs one call on n points.
 """
 
 from __future__ import annotations

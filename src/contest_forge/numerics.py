@@ -7,7 +7,9 @@ Conventions
 * ``rank_cdf(n, js, p)`` is S_j(p) = Pr[Binomial(n-1, p) <= j-1], the chance
   that an entrant who loses to each of n-1 opponents with probability p
   finishes in the top j. Every expected-prize curve, the design frontier and
-  the cost breakpoints are built from it.
+  the cost breakpoints are built from it. ``RankKernel(n, js)`` is the same
+  kernel with its arguments prepared once per (n, ranks), for a caller that
+  evaluates one set of ranks at many p; ``rank_cdf`` is one such call.
 * ``poisson_cdf_partial(lam, j)`` is the partial sum sum_{k=0}^{j-1}
   e^(-lam) lam^k / k!, i.e. Pr[Poisson(lam) < j].
 * ``rank_cdf_inv`` and ``poisson_cdf_partial_inv`` invert the two curves in
@@ -15,13 +17,14 @@ Conventions
   one equals a cost c at the rate the inverse returns for s = c j / V: this
   is the equilibrium rate of the simple contest M^j, in closed form.
 * ``first_descent`` finds the first j at which a sequence stops increasing,
-  the argmax of a unimodal sequence, without evaluating all of it.
+  the argmax of a unimodal sequence, without evaluating all of a long one.
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
-Everything here is deterministic. ``rank_cdf`` and ``binom_logpmf`` are the
+Everything here is deterministic. ``RankKernel`` and ``binom_logpmf`` are the
 one vectorised binomial kernel; every binomial pmf, cdf and tail in the
-package, the bound audit's included, is computed through it.
+package, the bound audit's included, is computed through it, and
+``RankKernel`` is the one caller of ``special.betainc``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .errors import BracketFailure, IterationLimit, NonFinite
 __all__ = [
     "BracketedRoot",
     "log_factorial",
+    "RankKernel",
     "rank_cdf",
     "rank_cdf_inv",
     "binom_logpmf",
@@ -81,20 +85,43 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
+class RankKernel:
+    """S_j(p) = Pr[Binomial(n-1, p) <= j-1] at fixed n and ranks ``js``.
+
+    The float arguments (max(n - j, 1), j) of the incomplete beta function
+    and the mask of ranks j >= n, where S_j is exactly 1, are computed once
+    here, so a call costs one ``betainc`` (and one masked fill when some
+    j >= n). ``kernel(p)`` is ``rank_cdf(n, js, p)`` bit for bit: ``p`` is a
+    float or an array that broadcasts against ``js``, and the result has the
+    broadcast shape.
+    """
+
+    __slots__ = ("_a", "_b", "_full")
+
+    def __init__(self, n: int, js):
+        js = np.asarray(js)
+        # a = 1 stands in where j >= n; those entries are overwritten with 1
+        self._a = np.maximum(n - js, 1).astype(float)
+        self._b = js.astype(float)
+        full = js >= n
+        self._full = full if full.any() else None
+
+    def __call__(self, p) -> np.ndarray:
+        # S_j(p) = I_{1-p}(n-j, j), the regularised incomplete beta function
+        s = np.asarray(special.betainc(self._a, self._b, 1.0 - p))
+        if self._full is not None:
+            np.copyto(s, 1.0, where=self._full)
+        return s
+
+
 def rank_cdf(n: int, js, p) -> np.ndarray:
     """S_j(p) = Pr[Binomial(n-1, p) <= j-1] for integer rank counts j >= 1.
 
     ``js`` and ``p`` broadcast against each other; the result is an array of
-    the broadcast shape (0-d for scalar inputs).
-
-    Uses the identity S_j(p) = I_{1-p}(n-j, j) with the regularised incomplete
-    beta function; S_j is exactly 1 for j >= n.
+    the broadcast shape (0-d for scalar inputs). One call of a
+    :class:`RankKernel` prepared for these ranks.
     """
-    js = np.asarray(js)
-    # a = 1 stands in where j >= n; those entries are overwritten with 1
-    s = np.asarray(special.betainc(np.maximum(n - js, 1), js, 1.0 - np.asarray(p)))
-    np.copyto(s, 1.0, where=js >= n)
-    return s
+    return RankKernel(n, js)(np.asarray(p))
 
 
 def rank_cdf_inv(n: int, js, s) -> np.ndarray:
@@ -163,17 +190,19 @@ def first_descent(
     Returns j = hi when f never descends. ``f`` maps an integer array of
     indices in [1, hi] to the values there. For a unimodal f the first
     descent is the smallest argmax (ties within 1e-12 relative), so it is
-    searched for instead of scanned: each round probes up to 64 indices of
-    the bracket holding it and narrows the bracket to the gap between two
-    probes, so hi <= 65 takes one call of f. f(j) == 0 means a left tail has
-    underflowed, not that f has peaked.
+    searched for instead of scanned: while the bracket holding it is wider
+    than 64, a round probes 64 evenly spaced indices j and j + 1 and narrows
+    the bracket to the gap between two probes; a bracket of at most 65
+    indices is then read whole, each index once. So hi <= 65 takes one call
+    of f on hi points. f(j) == 0 means a left tail has underflowed, not that
+    f has peaked.
     """
     lo = 1  # the first descent lies in [lo, hi]
-    while lo < hi:
-        # spacing >= 1, so the truncated probes are distinct
-        js = np.linspace(lo, hi - 1, min(hi - lo, _PROBES)).astype(np.int64)
+    while hi - lo > _PROBES:
+        # spacing >= 1, so the probes are distinct; the last is hi - 1
+        js = lo + (np.arange(_PROBES) * (hi - 1 - lo)) // (_PROBES - 1)
         values = f(np.concatenate([js, js + 1]))
-        y, y_next = values[: js.size], values[js.size :]
+        y, y_next = values[:_PROBES], values[_PROBES:]
         descent = (y > 0.0) & (y_next <= y * (1.0 + _TIE_TOL))
         if not descent.any():  # the last probe is hi - 1, so f peaks at hi
             return hi, float(y_next[-1])
@@ -183,7 +212,12 @@ def first_descent(
         hi = int(js[first])
         if lo == hi:
             return hi, float(y[first])
-    return hi, float(f(np.array([hi]))[0])
+    y = f(np.arange(lo, hi + 1))
+    descent = (y[:-1] > 0.0) & (y[1:] <= y[:-1] * (1.0 + _TIE_TOL))
+    if not descent.any():
+        return hi, float(y[-1])
+    first = int(np.argmax(descent))
+    return lo + first, float(y[first])
 
 
 def bisect_decreasing(

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from contest_forge import contest as contest_module
 from contest_forge.contest import (
@@ -32,6 +32,7 @@ from contest_forge.errors import (
 )
 from contest_forge.heterogeneous import equilibrium
 from contest_forge.homogeneous import c_star, optimal_contest, participation_rate
+from contest_forge.numerics import rank_cdf
 
 
 def random_contest(rng, n, budget=1.0, exhaust=False):
@@ -272,6 +273,34 @@ class TestExpectedPrize:
             assert grid.tobytes() == full[:15].tobytes()
             for k in rng.choice(ps.size, size=10, replace=False):
                 assert expected_prize(v, ps[k]) == full[k], (terms, ps[k])
+
+    @pytest.mark.parametrize("last_rank", [False, True])
+    def test_prepared_scalar_path_bitwise_equal_to_kernel(self, last_rank):
+        """The scalar path through the contest's prepared kernel, ``rank_cdf``
+        on the same terms, the curve and an inline incomplete-beta sum all
+        give one value's bits, with and without a j = n term."""
+        rng = np.random.default_rng(41 + last_rank)
+        edge_rates = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+        for _ in range(150):
+            n = int(rng.integers(2, 120))
+            terms = int(rng.integers(1, n + 1))
+            ranks = np.sort(rng.choice(np.arange(1, n + 1), size=terms, replace=False))
+            if last_rank:
+                ranks[-1] = n
+            elif ranks[-1] == n:
+                ranks = ranks[:-1] if ranks.size > 1 else ranks - 1
+            weights = rng.uniform(0.1, 1.0, size=ranks.size)
+            v = PrizeVector(n, float(weights.sum()), ranks.tolist(), weights.tolist())
+            coef = weights / ranks
+            curve = expected_prize_curve(v, np.array(edge_rates))
+            for k, p in enumerate(edge_rates):
+                s = np.asarray(special.betainc(np.maximum(n - ranks, 1), ranks, 1.0 - p))
+                np.copyto(s, 1.0, where=ranks >= n)
+                inline = float(np.add.reduce(s * coef))
+                kernel = float(np.add.reduce(rank_cdf(n, ranks, p) * coef))
+                bits = {expected_prize(v, p).hex(), kernel.hex(), inline.hex(),
+                        float(curve[k]).hex()}
+                assert len(bits) == 1, (n, p, bits)
 
     @pytest.mark.parametrize("terms", [1000, 70_000])
     def test_chunked_rows_bitwise_equal_to_scalar(self, terms):

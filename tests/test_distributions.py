@@ -155,6 +155,16 @@ class TestEmpiricalTypes:
         np.testing.assert_array_equal(t._order, np.argsort(-q))
         assert not t._order.flags.writeable
 
+    def test_keeps_costs_and_weights_in_quality_order_once(self):
+        rng = np.random.default_rng(1)
+        q, c = rng.permutation(np.linspace(0.0, 1.0, 30)), rng.uniform(0.1, 0.9, 30)
+        t = EmpiricalTypes(q=q, c=c, w=np.full(30, 1 / 30))
+        c_desc, w_desc, c_list, w_list = t._by_quality
+        assert t._by_quality is t._by_quality  # built on first use, then kept
+        np.testing.assert_array_equal(c_desc, c[np.argsort(-q)])
+        assert c_list == tuple(c_desc.tolist()) and w_list == tuple(w_desc.tolist())
+        assert not c_desc.flags.writeable and not w_desc.flags.writeable
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, bad):
         for field in ("q", "c", "w"):

@@ -335,6 +335,45 @@ def assert_design_matches(res, n, budget, c, j_ref, p_ref):
     assert resid <= 1e-10 * max(budget, c), (n, budget, c)
 
 
+class TestSearchReads:
+    """The design searches read each index of a bracket of at most 65 once."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        kernel = getattr(homogeneous, name)
+
+        def recorded(n, js, *args):
+            calls.append(np.array(js))
+            return kernel(n, js, *args)
+
+        monkeypatch.setattr(homogeneous, name, recorded)
+        return calls
+
+    def test_c_star_reads_n_points_in_one_call(self, monkeypatch):
+        calls = self.spy(monkeypatch, "rank_cdf")
+        rng = np.random.default_rng(31)
+        for n in list(range(1, 66)) + [int(k) for k in rng.integers(1, 66, size=40)]:
+            calls.clear()
+            c_star(n, 2.5, float(rng.uniform(0.01, 0.99)))
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], np.arange(1, n + 1))
+
+    def test_optimal_contest_reads_each_rank_at_most_once(self, monkeypatch):
+        calls = self.spy(monkeypatch, "rank_cdf_inv")
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n = int(rng.integers(2, 66))
+            budget = float(np.exp(rng.uniform(0.0, 5.0)))
+            c = budget * float(rng.uniform(1.0 / n, 1.0))
+            calls.clear()
+            optimal_contest(n, budget, c, UNIFORM)
+            read = np.concatenate(calls) if calls else np.array([], dtype=int)
+            j_max = min(n, int(math.floor(budget / c + 1e-12)))
+            assert read.size == np.unique(read).size
+            assert read.size == 0 or (read.min() >= 1 and read.max() <= j_max)
+
+
 class TestDesignAgainstScan:
     def test_acceptance_breakpoint_inputs(self):
         # the 4900 (n, c) pairs that acceptance criterion 03 classifies

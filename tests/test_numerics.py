@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import contest_forge
 from contest_forge.errors import BracketFailure, IterationLimit, NonFinite
 from contest_forge.numerics import (
+    RankKernel,
     binom_logpmf,
     bisect_decreasing,
     find_positive_root_sign_change,
@@ -125,6 +126,39 @@ class TestRankCdf:
         for i, j in enumerate(js[:, 0]):
             np.testing.assert_array_equal(grid[i], rank_cdf(8, j, ps))
         assert rank_cdf(8, 3, 0.25).shape == ()
+
+
+# the rates at which the prepared kernel is pinned: both ends, the smallest
+# subnormal, an interior point and the float just below 1
+EDGE_RATES = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def unprepared_rank_cdf(n, js, p):
+    """S_j(p) as one inline incomplete-beta call on integer arguments."""
+    js = np.asarray(js)
+    s = np.asarray(special.betainc(np.maximum(n - js, 1), js, 1.0 - np.asarray(p)))
+    np.copyto(s, 1.0, where=js >= n)
+    return s
+
+
+class TestRankKernel:
+    def test_bitwise_equal_to_unprepared_call(self):
+        """The prepared float arguments and S_n slot change no bit, with and
+        without ranks j >= n, at scalar and broadcast rates."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            js = rng.integers(1, n + 1, size=int(rng.integers(1, 30)))
+            if rng.random() < 0.5:
+                js[-1] = n + int(rng.integers(0, 3))
+            kernel = RankKernel(n, js)
+            ps = np.concatenate((EDGE_RATES, rng.uniform(0.0, 1.0, size=5)))
+            for p in ps:
+                want = unprepared_rank_cdf(n, js, p)
+                assert kernel(float(p)).tobytes() == want.tobytes()
+                assert rank_cdf(n, js, p).tobytes() == want.tobytes()
+            grid = kernel(ps[:, None])
+            assert grid.tobytes() == unprepared_rank_cdf(n, js, ps[:, None]).tobytes()
 
 
 class TestRankCdfInv:
@@ -281,12 +315,49 @@ class TestFirstDescent:
         values = [0.0] * 80 + [1.0, 2.0, 1.0] + [0.0] * 20
         assert first_descent(self.counted(values)[0], len(values)) == (82, 2.0)
 
+    @staticmethod
+    def dense_first_descent(values):
+        """The first descent by reading every index, the definition itself."""
+        y = np.asarray(values)
+        for j in range(1, y.size):
+            if y[j - 1] > 0.0 and y[j] <= y[j - 1] * (1.0 + 1e-12):
+                return j, float(y[j - 1])
+        return y.size, float(y[-1])
+
+    def test_matches_dense_scan_on_ties_plateaus_and_zeros(self):
+        """Leading zeros, a rise, a peak that may be a near-tie (within the
+        1e-12 tolerance) or a plateau, then a fall with exact ties. Each
+        sequence descends from its first descent on, which is what makes the
+        probed search exact; the test checks that before comparing."""
+        rng = np.random.default_rng(23)
+        for trial in range(400):
+            hi = int(rng.integers(1, 3000)) if trial % 2 else int(rng.integers(1, 66))
+            zeros = int(rng.integers(0, hi))
+            rise = int(rng.integers(0, hi - zeros + 1))
+            y = [0.0] * zeros
+            v = float(rng.uniform(1e-3, 1.0))
+            for _ in range(rise):
+                y.append(v)
+                v *= 1.0 + float(rng.uniform(1e-9, 1e-2))
+            while len(y) < hi:
+                kind = rng.integers(0, 4)
+                if kind == 0:  # near-tie: up, but within the tolerance
+                    v *= 1.0 + float(rng.uniform(0.0, 0.9e-12))
+                elif kind == 1:  # fall
+                    v *= float(rng.uniform(0.5, 1.0))
+                y.append(v)  # kinds 2 and 3 repeat v, a plateau
+            values = np.array(y[:hi])
+            step = (values[:-1] > 0.0) & (values[1:] <= values[:-1] * (1.0 + 1e-12))
+            assert not (step[:-1] & ~step[1:]).any()
+            f, _ = self.counted(values)
+            assert first_descent(f, hi) == self.dense_first_descent(values), trial
+
     def test_probe_budget(self):
-        # one call of f up to 65 indices, peaked or not; O(log hi) calls beyond
+        # one call of f on hi <= 65 indices, peaked or not; O(log hi) calls beyond
         for values in (np.arange(1.0, 66.0), 100.0 - np.abs(np.arange(1, 66) - 30.0)):
             f, calls = self.counted(values)
             first_descent(f, 65)
-            assert calls == [128]
+            assert calls == [65]
         hi = 10**6
         values = 1e7 - np.abs(np.arange(1, hi + 1) - 777_777.0)
         f, calls = self.counted(values)
