@@ -40,6 +40,8 @@ from .errors import (
 )
 from .homogeneous import MAX_POPULATION, _check_scalars, optimal_contest, participation_rate
 from .numerics import (
+    LogPmfKernel,
+    RankKernel,
     binom_logpmf,
     first_descent,
     poisson_cdf_partial,
@@ -178,11 +180,13 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     js = np.arange(2, n + 1)
     p = _breakpoint_roots(n, js)
     c = (budget / js) * rank_cdf(n, js, p)
-    entries = tuple(
-        (int(j), float(p_j), float(c_j)) for j, p_j, c_j in zip(js, p, c)
+    table = BreakpointTable(
+        n=n, budget=float(budget), entries=tuple(zip(js.tolist(), p.tolist(), c.tolist()))
     )
-    table = BreakpointTable(n=n, budget=float(budget), entries=entries)
-    thresholds = table.thresholds()
+    # the thresholds the table would build from its entries, taken from c
+    thresholds = np.concatenate(([table.budget], c, [0.0]))
+    thresholds.flags.writeable = False
+    table.__dict__["_thresholds"] = thresholds
     gaps = thresholds[:-1] - thresholds[1:]
     if np.any(gaps <= 1e-12 * budget):
         bad = int(np.argmax(gaps <= 1e-12 * budget)) + 1
@@ -197,45 +201,58 @@ def _breakpoint_roots(n: int, js: np.ndarray) -> np.ndarray:
 
     b is the pmf of B(n-1, p). g rises from -inf at p = 0 to +inf at p = 1,
     and dS_{j-1}/dp = -(j-1) b(j-1; p) / p gives its slope without another
-    kernel call: g'(p) = (j-1)/p - (n-j)/(1-p) + e^g / p. Each round
-    evaluates g on the lanes still open, narrows their sign brackets
-    [lo, hi] and takes the Newton step; a step that is not finite or leaves
-    the bracket (its ends count as inside) becomes a bisection step. A lane
-    closes on a Newton step below _ROOT_RTOL * p, or below (n-1) eps * p:
-    S_{j-1} is evaluated at the rounded 1 - p, and its (n-1)-fold power turns
-    that rounding into noise in g of about (n-1) eps relative in p for the
-    small j, which a fixed tolerance would chase forever at large n. A lane
-    still open after _ROOT_STEPS rounds raises IterationLimit.
+    kernel call: g'(p) = (j-1)/p - (n-j)/(1-p) + e^g / p. Both kernels are
+    prepared once, for ranks j - 1 at n, and the solver carries only its
+    open lanes: their x, sign brackets [lo, hi], index into ``js`` and
+    constants. Each round evaluates g on them, narrows the brackets and
+    takes the Newton step; a step that leaves the bracket (its ends count as
+    inside; a NaN or infinite step fails the comparison) becomes a bisection
+    step. A lane closes on a Newton step below _ROOT_RTOL * x, or below
+    (n-1) eps * x: S_{j-1} is evaluated at the rounded 1 - x, and its
+    (n-1)-fold power turns that rounding into noise in g of about
+    (n-1) eps relative in p for the small j, which a fixed tolerance would
+    chase forever at large n. A round in which lanes close writes their
+    roots out and compacts the rest, kernels included. A lane still open
+    after _ROOT_STEPS rounds raises IterationLimit.
     """
     rtol = max(_ROOT_RTOL, (n - 1) * np.finfo(float).eps)
+    out = np.empty(js.shape)
+    lane = np.arange(js.size)
+    cdf = RankKernel(n, js - 1)
+    log_pmf = LogPmfKernel(n - 1, js - 1)
+    # B(n-1, p) = j - 1 is k = j - 1 successes and rest = n - j failures
+    k = js - 1.0
+    log_k = np.log(k)
+    rest = (n - js).astype(float)
     lo = np.zeros(js.shape)
     hi = np.ones(js.shape)
-    p = np.clip((js - 1.5) / (n - 1), 1e-3, 1.0 - 1e-3)
-    live = np.arange(js.size)
+    x = np.clip((js - 1.5) / (n - 1), 1e-3, 1.0 - 1e-3)
     # g is -inf where the pmf underflows and +inf where S_{j-1} does; both
     # give the right sign and a non-finite step, hence a bisection step
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ROOT_STEPS):
-            j, x = js[live], p[live]
-            g = (
-                np.log(j - 1.0)
-                + binom_logpmf(n - 1, j - 1, x)
-                - np.log(rank_cdf(n, j - 1, x))
-            )
-            above = g > 0.0
-            lo_live = np.where(above, lo[live], x)
-            hi_live = np.where(above, x, hi[live])
-            lo[live], hi[live] = lo_live, hi_live
-            step = g / ((j - 1) / x - (n - j) / (1.0 - x) + np.exp(g) / x)
+            q = 1.0 - x
+            g = log_k + log_pmf(x) - np.log(cdf.of_complement(q))
+            positive = g > 0.0
+            lo = np.where(positive, lo, x)
+            hi = np.where(positive, x, hi)
+            step = g / (k / x - rest / q + np.exp(g) / x)
             newton = x - step
-            accept = np.isfinite(newton) & (lo_live <= newton) & (newton <= hi_live)
-            p[live] = np.where(accept, newton, 0.5 * (lo_live + hi_live))
-            live = live[~(accept & (np.abs(step) <= rtol * x))]
-            if live.size == 0:
-                return p
+            accept = (lo <= newton) & (newton <= hi)
+            done = accept & (np.abs(step) <= rtol * x)
+            x = np.where(accept, newton, 0.5 * (lo + hi))
+            if done.any():
+                out[lane[done]] = x[done]
+                keep = ~done
+                lane = lane[keep]
+                if lane.size == 0:
+                    return out
+                x, lo, hi = x[keep], lo[keep], hi[keep]
+                k, log_k, rest = k[keep], log_k[keep], rest[keep]
+                cdf, log_pmf = cdf.take(keep), log_pmf.take(keep)
     raise IterationLimit(
-        f"{live.size} breakpoint roots open after {_ROOT_STEPS} rounds at n = {n}, "
-        f"first at j = {int(js[live[0]])}"
+        f"{lane.size} breakpoint roots open after {_ROOT_STEPS} rounds at n = {n}, "
+        f"first at j = {int(js[lane[0]])}"
     )
 
 

@@ -87,6 +87,16 @@ class ThresholdEquilibrium:
 
 @dataclass(frozen=True)
 class DesignResult:
+    """The optimal simple contest M^{j*}, its equilibrium and the frontier there.
+
+    ``c_star_at_p`` is M^{j*}'s expected-prize curve (V/j*) S_{j*}(p) at the
+    equilibrium rate p, and it equals the design frontier c*(p): at the
+    optimal rate every M^j has p_j <= p, so (V/j) S_j(p) <= c for every j,
+    with equality at j*. It differs from ``c_star(n, V, p)`` only by
+    rounding and that search's 1e-12 tie rule. The corner regimes report
+    V/n (every agent enters) and V (none does).
+    """
+
     j_star: int
     contest: PrizeVector
     equilibrium: ThresholdEquilibrium
@@ -252,8 +262,8 @@ def optimal_contest(
     eq = ThresholdEquilibrium(
         theta=quantile(qd, 1.0 - p), p=p, lam=n * p, saturated=None
     )
-    cs = c_star(n, V, p)
-    return DesignResult(j_star, contest, eq, c_star_at_p=cs)
+    # M^{j*} attains the frontier at its own rate, so its curve there is c*(p)
+    return DesignResult(j_star, contest, eq, c_star_at_p=expected_prize(contest, p))
 
 
 def _partitions(total: int, parts: int, cap: int):

@@ -10,6 +10,13 @@ Conventions
   the cost breakpoints are built from it. ``RankKernel(n, js)`` is the same
   kernel with its arguments prepared once per (n, ranks), for a caller that
   evaluates one set of ranks at many p; ``rank_cdf`` is one such call.
+* ``binom_logpmf(n, ks, p)`` is log Pr[Binomial(n, p) = k]. ``LogPmfKernel(n,
+  ks)`` holds its log C(n, k) once per (n, ks), and ``binom_logpmf`` is one
+  call of it, as ``rank_cdf`` is of ``RankKernel``. Both prepared kernels
+  narrow to a subset of their lanes with ``take(keep)``, so an iterative
+  solver drops its closed lanes without rebuilding either one, and
+  ``RankKernel.of_complement`` takes q = 1 - p for a caller that already
+  holds it.
 * ``poisson_cdf_partial(lam, j)`` is the partial sum sum_{k=0}^{j-1}
   e^(-lam) lam^k / k!, i.e. Pr[Poisson(lam) < j].
 * ``rank_cdf_inv`` and ``poisson_cdf_partial_inv`` invert the two curves in
@@ -21,10 +28,12 @@ Conventions
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
-Everything here is deterministic. ``RankKernel`` and ``binom_logpmf`` are the
+Everything here is deterministic. ``RankKernel`` and ``LogPmfKernel`` are the
 one vectorised binomial kernel; every binomial pmf, cdf and tail in the
-package, the bound audit's included, is computed through it, and
-``RankKernel`` is the one caller of ``special.betainc``.
+package, the bound audit's included, is computed through it. ``RankKernel``
+is the one caller of ``special.betainc`` and ``LogPmfKernel`` of
+``gammaln``, ``xlogy`` and ``xlog1py``; no other module calls these or the
+inverse and Poisson functions this module wraps.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ __all__ = [
     "RankKernel",
     "rank_cdf",
     "rank_cdf_inv",
+    "LogPmfKernel",
     "binom_logpmf",
     "poisson_cdf_partial",
     "poisson_cdf_partial_inv",
@@ -107,11 +117,23 @@ class RankKernel:
         self._full = full if full.any() else None
 
     def __call__(self, p) -> np.ndarray:
+        return self.of_complement(1.0 - p)
+
+    def of_complement(self, q) -> np.ndarray:
+        """S_j at p = 1 - q, for a caller that holds q: the same bits as ``kernel(p)``."""
         # S_j(p) = I_{1-p}(n-j, j), the regularised incomplete beta function
-        s = np.asarray(special.betainc(self._a, self._b, 1.0 - p))
+        s = np.asarray(special.betainc(self._a, self._b, q))
         if self._full is not None:
             np.copyto(s, 1.0, where=self._full)
         return s
+
+    def take(self, keep) -> RankKernel:
+        """The kernel of the ranks ``js[keep]``, from a kernel prepared on 1-d ``js``."""
+        out = RankKernel.__new__(RankKernel)
+        out._a, out._b = self._a[keep], self._b[keep]
+        full = None if self._full is None else self._full[keep]
+        out._full = full if full is not None and full.any() else None
+        return out
 
 
 def rank_cdf(n: int, js, p) -> np.ndarray:
@@ -140,24 +162,51 @@ def rank_cdf_inv(n: int, js, s) -> np.ndarray:
     return np.where(s > 1.0, 0.0, np.where(js >= n, 1.0, p))
 
 
+class LogPmfKernel:
+    """log Pr[X = k] for X ~ Binomial(n, p) at fixed n and counts ``ks``.
+
+    log C(n, k) is computed once here on ``gammaln``, so a call adds
+    k log p + (n-k) log(1-p) on ``xlogy``/``xlog1py``, which give
+    0 * log 0 = 0: p = 0 and p = 1 need no special case. Counts outside
+    0 <= k <= n give -inf. ``kernel(p)`` is ``binom_logpmf(n, ks, p)`` bit
+    for bit, broadcast over ``ks`` and ``p``.
+    """
+
+    __slots__ = ("_k", "_rest", "_log_comb", "_outside")
+
+    def __init__(self, n: int, ks):
+        ks = np.asarray(ks)
+        inside = (ks >= 0) & (ks <= n)
+        k = np.where(inside, ks, 0)
+        self._k = k
+        self._rest = n - k
+        self._log_comb = (
+            special.gammaln(n + 1.0) - special.gammaln(k + 1.0) - special.gammaln(n - k + 1.0)
+        )
+        self._outside = None if inside.all() else ~inside
+
+    def __call__(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        out = self._log_comb + special.xlogy(self._k, p) + special.xlog1py(self._rest, -p)
+        if self._outside is not None:
+            out = np.where(self._outside, -np.inf, out)
+        return out
+
+    def take(self, keep) -> LogPmfKernel:
+        """The kernel of the counts ``ks[keep]``, from a kernel prepared on 1-d ``ks``."""
+        out = LogPmfKernel.__new__(LogPmfKernel)
+        out._k, out._rest, out._log_comb = self._k[keep], self._rest[keep], self._log_comb[keep]
+        outside = None if self._outside is None else self._outside[keep]
+        out._outside = outside if outside is not None and outside.any() else None
+        return out
+
+
 def binom_logpmf(n: int, ks, p) -> np.ndarray:
     """log Pr[X = k] for X ~ Binomial(n, p), broadcast over ks and p; -inf outside 0 <= k <= n.
 
-    log C(n, k) + k log p + (n-k) log(1-p) on ``gammaln``; ``xlogy``/``xlog1py``
-    give 0 * log 0 = 0, so p = 0 and p = 1 need no special case.
+    One call of a :class:`LogPmfKernel` prepared for these counts.
     """
-    ks = np.asarray(ks)
-    p = np.asarray(p, dtype=float)
-    inside = (ks >= 0) & (ks <= n)
-    k = np.where(inside, ks, 0)
-    out = (
-        special.gammaln(n + 1.0)
-        - special.gammaln(k + 1.0)
-        - special.gammaln(n - k + 1.0)
-        + special.xlogy(k, p)
-        + special.xlog1py(n - k, -p)
-    )
-    return np.where(inside, out, -np.inf)
+    return LogPmfKernel(n, ks)(p)
 
 
 def poisson_cdf_partial(lam: float, j: int) -> float:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from contest_forge.errors import (
 )
 from contest_forge.homogeneous import optimal_contest
 from contest_forge.numerics import (
+    RankKernel,
     binom_logpmf,
     bisect_decreasing,
     find_positive_root_sign_change,
@@ -193,23 +196,76 @@ class TestNewtonBreakpoints:
                 assert classify_by_breakpoints(oracle, c) == j_star, (n, c)
 
     def test_round_count(self, monkeypatch):
-        # each round calls rank_cdf once; c_j takes one more call
+        # each round evaluates the prepared S_{j-1} kernel once, on its open
+        # lanes; c_j takes one more call, through rank_cdf, on all n - 1 rows
         calls = []
+        of_complement = RankKernel.of_complement
 
-        def counting_rank_cdf(*args):
-            calls.append(1)
-            return rank_cdf(*args)
+        def counting(kernel, q):
+            calls.append(np.size(q))
+            return of_complement(kernel, q)
 
-        monkeypatch.setattr(compstat, "rank_cdf", counting_rank_cdf)
+        monkeypatch.setattr(RankKernel, "of_complement", counting)
         for n in [*range(2, 201), 1000, 5000]:
             calls.clear()
             breakpoints(n, 1.0)
-            assert len(calls) - 1 <= 10, (n, len(calls) - 1)
+            rounds = calls[:-1]
+            assert 1 <= len(rounds) <= 10, (n, len(rounds))
+            # the first round sees every lane, and closed lanes never come back
+            assert rounds[0] == n - 1 and calls[-1] == n - 1, (n, calls)
+            assert all(a >= b for a, b in zip(rounds, rounds[1:])), (n, calls)
 
     def test_open_root_raises_iteration_limit(self, monkeypatch):
-        monkeypatch.setattr(compstat, "_ROOT_STEPS", 3)
-        with pytest.raises(IterationLimit):
-            breakpoints(1000, 1.0)
+        n = 1000
+        js = np.arange(2, n + 1)
+        for steps in (3, 6):
+            monkeypatch.setattr(compstat, "_ROOT_STEPS", steps)
+            with pytest.raises(IterationLimit) as info:
+                breakpoints(n, 1.0)
+            match = re.fullmatch(
+                rf"(\d+) breakpoint roots open after {steps} rounds at n = {n}, first at j = (\d+)",
+                str(info.value),
+            )
+            assert match, str(info.value)
+            # lanes are independent, so a lane solved alone takes the rounds it
+            # takes among all of them: the message must name the smallest rank
+            # still open, mapped back from the compacted lanes, and count them
+            still_open = []
+            for j in js:
+                try:
+                    compstat._breakpoint_roots(n, np.array([j]))
+                except IterationLimit:
+                    still_open.append(int(j))
+            assert int(match[2]) == still_open[0] > 2, (steps, match[0])
+            assert int(match[1]) == len(still_open), (steps, match[0])
+
+    def test_entries_pinned_bit_for_bit(self):
+        # sha256 of the "j p.hex() c.hex()" lines of breakpoints(n, 1.0), as
+        # computed by the solver that rebuilt both kernels every round, before
+        # the kernels were prepared once and the open lanes carried between
+        # rounds (Python 3.11, numpy 2.4, scipy 1.17, x86-64); the CLI rounds
+        # to 12 digits, so only this pins the exact bits
+        digests = {
+            2: "41fa427a0a59535c192ff536c1a1a0180597a8bf5e576e326c7b3ed0c3eb716c",
+            3: "ac871ce3ea4ff71a2c42419bd2ab8dbf08002e877e060875e57d6446fcfcf00f",
+            10: "accc531bdd2993ebb9cfc7e874be37abcbfb36482b7a7413059542614fc50055",
+            35: "0574aa313a42d19be20d1e3645182fe055c06678c4ef728dcc57fd74eb9a3294",
+            60: "c59595d089e2490804f0265ae27e9ec711cdeb3ccf8f7fb003e46155ab701edb",
+            1000: "8bd7f5e578825925db58efacdbac8cc6e3a0c766360b1f6e1ab2c56629d3931a",
+            20000: "bbdc6ea3dee42bea47643c5cbd80ebf24374e80320916261ca07a59765d8f9ad",
+        }
+        for n, digest in digests.items():
+            text = "\n".join(
+                f"{j} {p.hex()} {c.hex()}" for j, p, c in breakpoints(n, 1.0).entries
+            )
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+    def test_thresholds_match_entries(self):
+        for n in (2, 3, 17, 300):
+            table = breakpoints(n, 2.5)
+            want = np.array([2.5] + [c for (_, _, c) in table.entries] + [0.0])
+            assert table.thresholds().tobytes() == want.tobytes()
+            assert not table.thresholds().flags.writeable
 
     def test_population_limit(self):
         with pytest.raises(PopulationTooLarge):

@@ -1,3 +1,4 @@
+import ast
 import math
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from scipy import special, stats
 import contest_forge
 from contest_forge.errors import BracketFailure, IterationLimit, NonFinite
 from contest_forge.numerics import (
+    LogPmfKernel,
     RankKernel,
     binom_logpmf,
     bisect_decreasing,
@@ -159,6 +161,71 @@ class TestRankKernel:
                 assert rank_cdf(n, js, p).tobytes() == want.tobytes()
             grid = kernel(ps[:, None])
             assert grid.tobytes() == unprepared_rank_cdf(n, js, ps[:, None]).tobytes()
+            assert kernel.of_complement(1.0 - ps[:, None]).tobytes() == grid.tobytes()
+
+    def test_take_is_the_kernel_of_the_kept_ranks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            js = rng.integers(1, n + 3, size=int(rng.integers(1, 30)))
+            kernel = RankKernel(n, js)
+            keep = rng.random(js.size) < 0.6
+            for subset in (keep, np.flatnonzero(keep), js < n):
+                narrowed = kernel.take(subset)
+                fresh = RankKernel(n, js[subset])
+                for p in (*EDGE_RATES, float(rng.uniform())):
+                    assert narrowed(p).tobytes() == fresh(p).tobytes()
+                # a narrowed kernel narrows again
+                twice = narrowed.take(slice(None, None, 2))
+                assert twice(0.3).tobytes() == RankKernel(n, js[subset][::2])(0.3).tobytes()
+
+
+def unprepared_logpmf(n, ks, p):
+    """log Pr[B(n, p) = k] as one expression, log C(n, k) included."""
+    ks = np.asarray(ks)
+    p = np.asarray(p, dtype=float)
+    inside = (ks >= 0) & (ks <= n)
+    k = np.where(inside, ks, 0)
+    out = (
+        special.gammaln(n + 1.0)
+        - special.gammaln(k + 1.0)
+        - special.gammaln(n - k + 1.0)
+        + special.xlogy(k, p)
+        + special.xlog1py(n - k, -p)
+    )
+    return np.where(inside, out, -np.inf)
+
+
+class TestLogPmfKernel:
+    def test_bitwise_equal_to_unprepared_expression(self):
+        """Preparing log C(n, k) changes no bit, in or outside 0 <= k <= n."""
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(0, 400))
+            ks = rng.integers(-2, n + 3, size=int(rng.integers(1, 30)))
+            if rng.random() < 0.5:
+                ks = np.clip(ks, 0, n)
+            kernel = LogPmfKernel(n, ks)
+            ps = np.concatenate((EDGE_RATES, rng.uniform(0.0, 1.0, size=5)))
+            for p in ps:
+                want = unprepared_logpmf(n, ks, p)
+                assert np.asarray(kernel(float(p))).tobytes() == want.tobytes()
+                assert np.asarray(binom_logpmf(n, ks, p)).tobytes() == want.tobytes()
+            grid = np.asarray(kernel(ps[:, None]))
+            assert grid.tobytes() == unprepared_logpmf(n, ks, ps[:, None]).tobytes()
+
+    def test_take_is_the_kernel_of_the_kept_counts(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(0, 300))
+            ks = rng.integers(-2, n + 3, size=int(rng.integers(1, 30)))
+            kernel = LogPmfKernel(n, ks)
+            keep = rng.random(ks.size) < 0.6
+            for subset in (keep, np.flatnonzero(keep), (ks >= 0) & (ks <= n)):
+                narrowed = kernel.take(subset)
+                fresh = LogPmfKernel(n, ks[subset])
+                for p in (*EDGE_RATES, float(rng.uniform())):
+                    assert np.asarray(narrowed(p)).tobytes() == np.asarray(fresh(p)).tobytes()
 
 
 class TestRankCdfInv:
@@ -401,3 +468,53 @@ class TestPositiveRootFinder:
     def test_requires_negative_origin(self):
         with pytest.raises(BracketFailure):
             find_positive_root_sign_change(lambda x: x + 1.0, 1.0)
+
+
+# the binomial and Poisson special functions the kernels wrap; contest.py's
+# betaln slope constants are not among them
+KERNEL_FUNCTIONS = frozenset(
+    {"betainc", "betainccinv", "gammainccinv", "gammaincc", "gammaln", "xlogy", "xlog1py"}
+)
+
+
+def special_function_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every attribute, name or import of a kernel function in ``source``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_FUNCTIONS:
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in KERNEL_FUNCTIONS:
+            uses.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            uses += [(node.lineno, a.name) for a in node.names if a.name in KERNEL_FUNCTIONS]
+    return uses
+
+
+def test_special_functions_have_one_caller():
+    """numerics is the one module that calls the binomial and Poisson special
+    functions, so every curve goes through its kernels."""
+    package = Path(contest_forge.__file__).resolve().parent
+    found = {
+        path.name: uses
+        for path in sorted(package.glob("*.py"))
+        if path.name != "numerics.py"
+        and (uses := special_function_uses(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+    # the scan sees the calls that numerics does make
+    numerics_uses = {name for _, name in special_function_uses(
+        (package / "numerics.py").read_text(encoding="utf-8"))}
+    assert numerics_uses == KERNEL_FUNCTIONS
+
+
+def test_special_function_scan_sees_every_spelling():
+    source = (
+        "from scipy import special\n"
+        "from scipy.special import gammaln as g\n"
+        "import scipy.special as sc\n"
+        "x = special.betainc(1, 2, 0.5) + sc.xlog1py(1, 0.1)\n"
+        "y = special.betaln(1, 2)\n"
+    )
+    assert sorted(name for _, name in special_function_uses(source)) == [
+        "betainc", "gammaln", "xlog1py"
+    ]
