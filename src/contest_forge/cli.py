@@ -37,8 +37,8 @@ from .homogeneous import optimal_contest
 
 __all__ = ["main"]
 
-# most scales ``scan`` solves in one run: a row takes up to about 1 ms (at
-# n near 10^6), so 10^4 rows at vc 300000..330000 took 10.6 s (2-core x86 host)
+# most scales ``scan`` solves in one run: a row takes up to about 0.6 ms (at
+# n near 10^6), and 10^4 rows at vc 300000..330000 took 2.0 s (2-core x86 host)
 MAX_SCAN_STEPS = 10_000
 
 

@@ -198,9 +198,14 @@ def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
     every prize, and the kernel's relative error grows like (n - 1) eps. The
     Poisson limit covers larger populations.
     """
+    _check_ranks(n)
+    return PrizeVector(n, float(budget), (j,), (float(budget),))
+
+
+def _check_ranks(n: int) -> None:
+    """Raise :class:`PopulationTooLarge` for an n above ``make_simple_contest``'s 10^6."""
     if n > _MAX_RANKS:
         raise PopulationTooLarge(f"n = {n} exceeds the largest supported contest {_MAX_RANKS}")
-    return PrizeVector(n, float(budget), (j,), (float(budget),))
 
 
 def _prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:

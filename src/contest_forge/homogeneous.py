@@ -36,7 +36,12 @@ incomplete-beta call on the binomial kernel the contest keeps prepared for
 its ranks, and one sum of exponentials over constants cached per contest;
 about 6 steps meet the residual contract where bisection took about 30.
 The two design searches read each j of a bracket of at most 65 once, in one
-kernel call, so at n <= 65 ``c_star`` costs one call on n points.
+kernel call, so at n <= 65 ``c_star`` costs one call on n points. Over a
+wider range ``optimal_contest`` first reads the 32 ranks around the
+predicted j* ~ vc - sqrt((1 - vc/n) vc / ln vc), vc = V/c: the Poisson
+limit's measured j* (``compstat.poisson_limit``) with the binomial variance
+factor 1 - vc/n. That read usually holds j*, and then the search is one
+call of the inverse on 34 ranks.
 """
 
 from __future__ import annotations
@@ -46,10 +51,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contest import PrizeVector, expected_prize, make_simple_contest, validate_contest
+from .contest import (
+    PrizeVector,
+    _check_ranks,
+    expected_prize,
+    make_simple_contest,
+    validate_contest,
+)
 from .distributions import QualityDistribution, _is_integer, quantile
 from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
-from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
+from .numerics import _PROBES, _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
 __all__ = [
     "ThresholdEquilibrium",
@@ -237,8 +248,14 @@ def optimal_contest(
     (j* = n); c >= V gives zero participation with winner-take-all (j* = 1);
     otherwise j* maximizes the per-j equilibrium participation over
     j = 1..min(n, floor(V/c)), smallest j on ties within 1e-12 relative.
+    The search starts its first read at the predicted
+    j* ~ vc - sqrt((1 - vc/n) vc / ln vc), vc = V/c, when that range is
+    wider than 65; the answer is the same from any start. n above 10^6, the
+    largest simple contest ``make_simple_contest`` builds, raises
+    :class:`PopulationTooLarge` before any search.
     """
     _check_scalars(n=n, budget=budget, c=c)
+    _check_ranks(n)
     V = float(budget)
     if c <= V / n:
         contest = make_simple_contest(n, V, n)
@@ -254,9 +271,15 @@ def optimal_contest(
         return DesignResult(1, contest, eq, c_star_at_p=V)
 
     j_max = min(n, int(math.floor(V / c + 1e-12)))
+    near = None
+    if j_max - 1 > _PROBES:  # a narrower range is read whole, with no guess
+        # j* ~ vc - sqrt((1 - vc/n) vc / ln vc): the Poisson limit's scale
+        # with the binomial variance factor; it only places the first read
+        vc = V / c
+        near = vc - math.sqrt(max(0.0, 1.0 - vc / n) * vc / math.log(vc))
     # M^j's rate solves (V/j) S_j(p) = c; p_j is unimodal in j (the
     # breakpoints are ordered), so its first descent is the smallest argmax
-    j_star, p = first_descent(lambda js: rank_cdf_inv(n, js, c * js / V), j_max)
+    j_star, p = first_descent(lambda js: rank_cdf_inv(n, js, c * js / V), j_max, near)
     contest = make_simple_contest(j_star, V, n)
     # V/n < c < V keeps the winner's rate strictly inside (0, 1), so no flag
     eq = ThresholdEquilibrium(

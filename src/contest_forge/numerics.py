@@ -25,6 +25,9 @@ Conventions
   is the equilibrium rate of the simple contest M^j, in closed form.
 * ``first_descent`` finds the first j at which a sequence stops increasing,
   the argmax of a unimodal sequence, without evaluating all of a long one.
+  Given a predicted index it first reads a window of 32 indices around it,
+  which ends the search when the window holds the descent and otherwise
+  narrows the bracket to one side of it; the answer is the same.
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
@@ -69,6 +72,8 @@ _REL_ROOT_TOL = 1e-12
 _TIE_TOL = 1e-12
 # indices probed per round of first_descent
 _PROBES = 64
+# indices of first_descent's guided first read, besides the two on its edges
+_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,7 @@ def poisson_cdf_partial_inv(js, s) -> np.ndarray:
 
 
 def first_descent(
-    f: Callable[[np.ndarray], np.ndarray], hi: int
+    f: Callable[[np.ndarray], np.ndarray], hi: int, near: float | None = None
 ) -> tuple[int, float]:
     """(j, f(j)) for the first j in [1, hi] with f(j) > 0 and f(j+1) <= f(j) (1 + 1e-12).
 
@@ -245,8 +250,29 @@ def first_descent(
     indices is then read whole, each index once. So hi <= 65 takes one call
     of f on hi points. f(j) == 0 means a left tail has underflowed, not that
     f has peaked.
+
+    ``near`` is a predicted first descent. When it is given and hi > 65, the
+    first round instead reads the 32 indices [a, a + 31] around it, clipped
+    into [2, hi - 32], together with a - 1 and a + 32: one call of f on 34
+    points. A descent at a - 1 leaves the bracket [1, a - 1]; otherwise the
+    first descent inside the window is the answer, and a window without one
+    leaves [a + 32, hi] to the probed rounds. The answer does not depend on
+    ``near``: like the probes, the read relies only on f descending from its
+    first descent on, so a descent at a - 1 puts the first one at or before
+    it, and none there puts it after.
     """
     lo = 1  # the first descent lies in [lo, hi]
+    if near is not None and hi - lo > _PROBES:
+        a = min(max(round(near) - _WINDOW // 2, 2), hi - _WINDOW)
+        y = f(np.arange(a - 1, a + _WINDOW + 1))
+        descent = (y[:-1] > 0.0) & (y[1:] <= y[:-1] * (1.0 + _TIE_TOL))
+        if descent[0]:
+            hi = a - 1
+        elif descent.any():
+            first = int(np.argmax(descent))
+            return a - 1 + first, float(y[first])
+        else:
+            lo = a + _WINDOW
     while hi - lo > _PROBES:
         # spacing >= 1, so the probes are distinct; the last is hi - 1
         js = lo + (np.arange(_PROBES) * (hi - 1 - lo)) // (_PROBES - 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from contest_forge import compstat
+from contest_forge import compstat, homogeneous
 from contest_forge.compstat import (
     MAX_BREAKPOINT_POPULATION,
     BreakpointTable,
@@ -405,6 +405,33 @@ class TestPoissonLimit:
                 binom_route = expected_prize(make_simple_contest(j, 1.0, n), lam / n)
                 limit_route = poisson_value(1.0, j, lam)
                 np.testing.assert_allclose(binom_route, limit_route, atol=1e-4)
+
+
+class TestGuidedSearchReads:
+    """The scale searches start at the predicted j* and find it in one read
+    of 34 rates; without the guess they probe 128 rates and then read the
+    bracket, two calls."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        sizes = []
+        inner = getattr(module, name)
+
+        def counted(*args):
+            sizes.append(np.size(args[-2]))  # the ranks precede the targets
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return sizes
+
+    @pytest.mark.parametrize("n, vc", [(6000, 2000.0), (10**6, 3e5)])
+    def test_one_read_of_at_most_34_rates(self, monkeypatch, n, vc):
+        design_reads = self.spy(monkeypatch, homogeneous, "rank_cdf_inv")
+        limit_reads = self.spy(monkeypatch, compstat, "poisson_cdf_partial_inv")
+        optimal_contest(n, vc, 1.0, Uniform(0.0, 1.0))
+        poisson_limit(vc, 1.0)
+        assert len(design_reads) == 1 and design_reads[0] <= 34
+        assert len(limit_reads) == 1 and limit_reads[0] <= 34
 
 
 class TestConvergence:

@@ -504,6 +504,18 @@ class TestOptimalContest:
             with pytest.raises(ValidationError):
                 optimal_contest(n, budget, 0.4, UNIFORM)
 
+    def test_contest_size_limit_is_checked_before_the_search(self, monkeypatch):
+        """n = 10^6 + 1 fails as make_simple_contest does, with no rate read."""
+        reads = []
+        monkeypatch.setattr(homogeneous, "rank_cdf_inv", lambda *a: reads.append(a))
+        for c in (1e-7, 1.0, 3e5):  # full participation, interior, zero participation
+            with pytest.raises(
+                PopulationTooLarge,
+                match="^n = 1000001 exceeds the largest supported contest 1000000$",
+            ):
+                optimal_contest(1_000_001, 3e5, c, UNIFORM)
+        assert reads == []
+
 
 class TestBruteForce:
     def test_simple_contest_wins_small_grids(self):

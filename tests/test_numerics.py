@@ -391,11 +391,13 @@ class TestFirstDescent:
                 return j, float(y[j - 1])
         return y.size, float(y[-1])
 
-    def test_matches_dense_scan_on_ties_plateaus_and_zeros(self):
-        """Leading zeros, a rise, a peak that may be a near-tie (within the
-        1e-12 tolerance) or a plateau, then a fall with exact ties. Each
-        sequence descends from its first descent on, which is what makes the
-        probed search exact; the test checks that before comparing."""
+    @staticmethod
+    def tie_sequences():
+        """(trial, values): leading zeros, a rise, a peak that may be a
+        near-tie (within the 1e-12 tolerance) or a plateau, then a fall with
+        exact ties. Each sequence descends from its first descent on, which
+        is what makes the probed search exact; this is checked before it is
+        handed out."""
         rng = np.random.default_rng(23)
         for trial in range(400):
             hi = int(rng.integers(1, 3000)) if trial % 2 else int(rng.integers(1, 66))
@@ -416,8 +418,74 @@ class TestFirstDescent:
             values = np.array(y[:hi])
             step = (values[:-1] > 0.0) & (values[1:] <= values[:-1] * (1.0 + 1e-12))
             assert not (step[:-1] & ~step[1:]).any()
+            yield trial, values
+
+    def test_matches_dense_scan_on_ties_plateaus_and_zeros(self):
+        for trial, values in self.tie_sequences():
             f, _ = self.counted(values)
-            assert first_descent(f, hi) == self.dense_first_descent(values), trial
+            assert first_descent(f, values.size) == self.dense_first_descent(values), trial
+
+    def test_guided_matches_dense_scan_from_any_start(self):
+        """The predicted index changes the reads, never the answer: at the
+        descent, beside it, on and past the window's edges (16 and 17 away),
+        at the ends of [1, hi] and outside it."""
+        bump = np.array([0.0] * 80 + [1.0, 2.0, 1.0] + [0.0] * 20)
+        for trial, values in [*self.tie_sequences(), ("bump", bump)]:
+            hi = values.size
+            expected = self.dense_first_descent(values)
+            d = expected[0]
+            for near in (d, d - 1, d + 1, d - 16, d + 16, d - 17, d + 17,
+                         1, hi, 0, -40, hi + 1, hi + 500, d + 0.5):
+                f, _ = self.counted(values)
+                assert first_descent(f, hi, near) == expected, (trial, near)
+
+    @staticmethod
+    def recorded(values):
+        reads = []
+
+        def f(js):
+            reads.append(js.copy())
+            return np.asarray(values)[js - 1]
+
+        return f, reads
+
+    # a peak at 300 of hi = 1000; the guided window is [near - 16, near + 15]
+    PEAKED = 1e4 - np.abs(np.arange(1, 1001) - 300.0)
+
+    def test_guided_hit_is_one_read_of_34(self):
+        # near rounds to an index, and the window holds 300 from 285 to 316
+        for near in (284.6, 285, 300, 316, 316.4):
+            f, reads = self.recorded(self.PEAKED)
+            assert first_descent(f, 1000, near) == (300, 1e4)
+            assert len(reads) == 1
+            js = reads[0]
+            np.testing.assert_array_equal(js, np.arange(js[0], js[0] + 34))
+
+    def test_guided_descent_before_the_window_narrows_left(self):
+        f, reads = self.recorded(self.PEAKED)
+        assert first_descent(f, 1000, 400) == (300, 1e4)
+        # the window is [384, 415]; 383 descends, so [1, 383] holds the answer
+        np.testing.assert_array_equal(reads[0], np.arange(383, 417))
+        assert len(reads) > 1 and all(js.max() <= 383 for js in reads[1:])
+
+    def test_guided_window_before_the_descent_narrows_right(self):
+        f, reads = self.recorded(self.PEAKED)
+        assert first_descent(f, 1000, 100) == (300, 1e4)
+        # the window is [84, 115] with no descent, so [116, 1000] holds the answer
+        np.testing.assert_array_equal(reads[0], np.arange(83, 117))
+        assert len(reads) > 1 and all(js.min() >= 116 for js in reads[1:])
+
+    def test_guided_window_is_clipped_into_the_range(self):
+        for near, first in ((-40, 1), (1, 1), (1000, 967), (5000, 967)):
+            f, reads = self.recorded(self.PEAKED)
+            assert first_descent(f, 1000, near) == (300, 1e4)
+            np.testing.assert_array_equal(reads[0], np.arange(first, first + 34))
+
+    def test_guess_is_ignored_where_the_range_is_read_whole(self):
+        values = 100.0 - np.abs(np.arange(1, 66) - 30.0)
+        f, calls = self.counted(values)
+        assert first_descent(f, 65, 30) == (30, 100.0)
+        assert calls == [65]
 
     def test_probe_budget(self):
         # one call of f on hi <= 65 indices, peaked or not; O(log hi) calls beyond
