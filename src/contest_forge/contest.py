@@ -18,7 +18,10 @@ split the budget equally among the top j ranks:
 A :class:`PrizeVector` stores this mixture, so a simple contest is one term
 at any n, and builds the n prizes only when they are read. It also keeps the
 binomial kernel prepared for its ranks (``numerics.RankKernel``), so a scalar
-``expected_prize`` costs one incomplete-beta call, one multiply and one sum.
+``expected_prize`` costs one incomplete-beta call, one multiply and one sum,
+and the slope c'(p) that ``homogeneous.participation_rate`` needs is the same
+multiply and sum over the kernel's ``slope``. This module calls no special
+function itself.
 Both ``expected_prize`` and ``expected_prize_curve`` sum each point's mixture
 terms along a contiguous last axis, so c(p) depends only on the contest and p:
 a scalar, any shape, subset or order give the same bits. The test suite
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     BudgetExceeded,
@@ -128,23 +130,8 @@ class PrizeVector:
 
     @cached_property
     def _kernel(self) -> RankKernel:
-        """S_j for the mixture's ranks j, prepared once for this contest."""
+        """S_j and its slope for the mixture's ranks j, prepared once for this contest."""
         return RankKernel(self.n, self._mixture[0])
-
-    @cached_property
-    def _mixture_slope(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(j - 1, n - j - 1, log(w_j / j) - betaln(n - j, j)) over j < n with w_j > 0.
-
-        dS_j/dp = -(1-p)^(n-j-1) p^(j-1) / B(n-j, j), so c'(p) is minus the
-        sum of exp(const + (j-1) log p + (n-j-1) log(1-p)); S_n is 1, so j = n
-        adds no term.
-        """
-        js, coef = self._mixture
-        # ranks ascend, so only the last can be n; slices copy nothing
-        terms = len(js) - (len(js) > 0 and js[-1] == self.n)
-        js, coef = js[:terms], coef[:terms]
-        const = np.log(coef) - special.betaln(self.n - js, js)
-        return (js - 1).astype(float), (self.n - js - 1).astype(float), const
 
 
 @dataclass(frozen=True)

@@ -395,7 +395,8 @@ def discretize(jd: RectMixture, m: int, seed, *, n: int | None = None) -> Empiri
     rejected too, so every support is reproducible from its seed. m above
     ``MAX_SUPPORT_POINTS`` (10^5) raises :class:`PopulationTooLarge` before
     any allocation: ``hetero-eq`` prints every participant's index and
-    ``wta_approx_experiment`` solves up to n equilibria on one support. One
+    ``wta_approx_experiment`` solves up to n equilibria on one support,
+    within its own limit on contests x support points. One
     general-contest equilibrium takes 0.03-0.06 s at 10^5 points and
     0.3-0.55 s at 10^6 (2-core x86 host shared with other jobs; the ranges
     are the spread between quiet and busy runs).

@@ -104,6 +104,12 @@ _DEFER_RTOL = 1e-12
 _FIRST_BLOCK = 32
 # largest replicas x n that mc_objective draws; see its docstring
 MAX_MC_DRAWS = 2**20
+# most simple contests wta_approx_experiment solves, and most contests x
+# support points: one contest on m points took about 0.13 ms + 0.8 us x m
+# (2-core x86 host), 0.44 ms at the CLI's m = 400, so either limit is a
+# run of about 4 s; both meet at m = 400
+MAX_APPROX_CONTESTS = 10_000
+MAX_APPROX_POINTS = 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,12 +353,15 @@ def is_sub_equilibrium(
 def output_cdf(
     types: EmpiricalTypes, profile: ParticipationProfile, x: float
 ) -> float:
-    """CDF at x of one draw's output q * participate (non-participants produce 0)."""
+    """CDF at x of one draw's output q * participate (non-participants produce 0).
+
+    One read of the cumulative weights that :func:`fosd_check` compares, so
+    the two give the same bits at every x.
+    """
     _check_profile(types, profile)
     if not x >= 0.0:  # NaN fails here too
         raise ValidationError(f"need x >= 0, got {x!r}")
-    counted = ~profile.mask | (types.q <= x)
-    return float(np.sum(types.w[counted]))
+    return float(_output_cdfs(types, profile, x))
 
 
 def fosd_check(
@@ -382,7 +391,7 @@ def fosd_check(
 def _output_cdfs(
     types: EmpiricalTypes, profile: ParticipationProfile, xs: np.ndarray
 ) -> np.ndarray:
-    """output_cdf at every x in ``xs``, from one sort of the outputs."""
+    """output_cdf at every x in ``xs`` (or at one x), from one sort of the outputs."""
     out = np.where(profile.mask, types.q, 0.0)
     order = np.argsort(out, kind="stable")
     cum = np.concatenate(([0.0], np.cumsum(types.w[order])))
@@ -578,7 +587,10 @@ def wta_approx_experiment(
     lower bound on the optimum. Reports the ratio B / W and the exact check
     3W >= B.
     ``seed`` drives the discretization only; ``replicas`` is accepted for
-    compatibility and does not affect the result.
+    compatibility and does not affect the result. More than
+    ``MAX_APPROX_CONTESTS`` (10^4) contests, or more than
+    ``MAX_APPROX_POINTS`` (4 x 10^6) contests x support points, raise
+    :class:`PopulationTooLarge` before any contest is solved.
     """
     _check_scalars(n=n, budget=budget)
     if n < 2:
@@ -587,6 +599,12 @@ def wta_approx_experiment(
     min_cost = float(types.c.min())
     ratio_cap = budget / min_cost if min_cost > 0.0 else math.inf
     j_cap = n if ratio_cap >= n else max(1, math.floor(ratio_cap + 1e-12))
+    if j_cap > MAX_APPROX_CONTESTS or j_cap * types.support_size > MAX_APPROX_POINTS:
+        raise PopulationTooLarge(
+            f"the experiment would solve {j_cap} simple contests on {types.support_size} "
+            f"support points; the largest run is {MAX_APPROX_CONTESTS} contests and "
+            f"{MAX_APPROX_POINTS} contests x points"
+        )
 
     contests = []
     all_collapsed = True

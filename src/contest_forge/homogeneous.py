@@ -27,14 +27,11 @@ descent of p_j, with the same search (``numerics.first_descent``) as y_j.
 A general contest's rate solves c(p) = c, with c(p) the rank-gap mixture
 sum_{w_j > 0} (w_j / j) S_j(p). ``participation_rate`` takes safeguarded
 Newton steps on the sign bracket [0, 1], with values from
-``expected_prize`` and the slope in closed form: for j < n
-
-    dS_j/dp = -(1-p)^(n-j-1) p^(j-1) / B(n-j, j),
-
-and S_n = 1 has none. A step costs one curve evaluation, which is one
-incomplete-beta call on the binomial kernel the contest keeps prepared for
-its ranks, and one sum of exponentials over constants cached per contest;
-about 6 steps meet the residual contract where bisection took about 30.
+``expected_prize`` and the slope c'(p) = sum_{w_j > 0} (w_j / j) dS_j/dp
+from the same binomial kernel the contest keeps prepared for its ranks
+(``numerics.RankKernel.slope``). A step costs one incomplete-beta call for
+the value and one sum of exponentials for the slope; about 6 steps meet the
+residual contract where bisection took about 30.
 The two design searches read each j of a bracket of at most 65 once, in one
 kernel call, so at n <= 65 ``c_star`` costs one call on n points. Over a
 wider range ``optimal_contest`` first reads the 32 ranks around the
@@ -134,11 +131,12 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     0 or 1.
 
     Interior costs are solved by Newton's method on [0, 1] from p = 0.5 with
-    the slope of the mixture, c'(p) = -sum_{w_j > 0, j < n} (w_j / j)
-    (1-p)^(n-j-1) p^(j-1) / B(n-j, j), whose constants are cached per
-    contest. Each step narrows the sign bracket of c(p) - c; a Newton step
-    that does not land strictly inside it, or a slope that is not finite and
-    negative, is replaced by the bracket midpoint. Raises
+    the slope of the mixture, c'(p) = sum_{w_j > 0} (w_j / j) dS_j/dp, read
+    from the contest's prepared kernel (``numerics.RankKernel.slope``) as
+    ``expected_prize`` reads the value. Each step narrows the sign bracket
+    of c(p) - c; a Newton step that does not land strictly inside it, or a
+    slope that is not finite and negative, is replaced by the bracket
+    midpoint. Raises
     :class:`IterationLimit` after 200 steps, or sooner if the bracket closes
     to adjacent floats first.
     """
@@ -156,7 +154,7 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
         return 0.0, None
     if abs(v_bottom - c) <= tol:
         return 1.0, None
-    a, b, const = contest._mixture_slope
+    kernel = contest._kernel
     lo, hi = 0.0, 1.0  # c(lo) > c > c(hi)
     p = 0.5
     for _ in range(_MAX_RATE_STEPS):
@@ -169,8 +167,7 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
             lo = p
         else:
             hi = p
-        # p lies strictly inside [lo, hi] within [0, 1], so both logs are finite
-        slope = -float(np.exp(const + a * math.log(p) + b * math.log1p(-p)).sum())
+        slope = float(np.add.reduce(kernel.slope(p) * coef))
         if math.isfinite(slope) and slope < 0.0 and lo < p - gap / slope < hi:
             p -= gap / slope
         else:

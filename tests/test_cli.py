@@ -315,10 +315,11 @@ class TestSizeLimits:
             ["hetero-eq", "--dist", "DIST", "--contest", "CONTEST", "--n", "6",
              "--m", "10000000000"],
             ["approx", "--dist", "DIST", "--n", "6", "--prize", "1", "--m", "10000000000"],
+            ["approx", "--dist", "DIST", "--n", "1000000", "--prize", "1000000"],
         ],
         ids=["scan_too_many_steps", "design_n_beyond_int64", "scan_huge_n_factor",
              "scan_n_factor_overflows", "hetero_eq_support_too_large",
-             "approx_support_too_large"],
+             "approx_support_too_large", "approx_too_many_contests"],
     )
     def test_rejected_before_allocating(self, capsys, tmp_path, argv):
         for name, doc in {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC}.items():

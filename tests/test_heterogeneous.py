@@ -28,6 +28,8 @@ from contest_forge.errors import (
     ValidationError,
 )
 from contest_forge.heterogeneous import (
+    MAX_APPROX_CONTESTS,
+    MAX_APPROX_POINTS,
     MAX_MC_DRAWS,
     ParticipationProfile,
     _beat_probabilities,
@@ -651,6 +653,19 @@ class TestOutputCdf:
         with pytest.raises(ValidationError):
             output_cdf(TWO_POINT, ParticipationProfile.full(2), -0.1)
 
+    def test_bits_of_the_cdfs_fosd_check_compares(self):
+        """At 0 and at every support quality, one x at a time gives the bits
+        of the sorted cumulative weights, unequal weights included."""
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            size = int(rng.integers(1, 60))
+            types = random_types(rng, size, 5)
+            profile = random_profile(rng, size)
+            xs = np.concatenate(([0.0], types.q))
+            want = _output_cdfs(types, profile, xs)
+            got = np.array([output_cdf(types, profile, float(x)) for x in xs])
+            assert got.tobytes() == want.tobytes()
+
 
 def matrix_output_cdfs(types, profile, xs):
     """output_cdf at every x as one (len(xs), m) comparison matrix times w."""
@@ -954,6 +969,35 @@ class TestWtaApproxExperiment:
         jd = RectMixture((RectComponent(0.0, 1.0, 0.2, 0.9, 1.0),))
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             wta_approx_experiment(jd, 6, 1.0, 40, 2, seed)
+
+    @pytest.mark.parametrize("n, budget", [(MAX_APPROX_CONTESTS + 1, 1e6), (10**6, 1e6),
+                                           (2**53, 1e300)])
+    def test_too_many_contests_refused_before_any_solve(self, monkeypatch, n, budget):
+        # costs from 0.05 up, so V / min cost exceeds n and every rank is a contest
+        calls = count_equilibria(monkeypatch)
+        jd = RectMixture((RectComponent(0.0, 1.0, 0.05, 0.9, 1.0),))
+        with pytest.raises(PopulationTooLarge, match=f"solve {n} simple contests on 40"):
+            wta_approx_experiment(jd, n, budget, 40, 2, 0)
+        assert calls == []
+
+    def test_contests_times_points_limit(self, monkeypatch):
+        """10^4 contests are admitted on 400 points and refused on 401; the
+        spy stops the admitted run at its first solve."""
+
+        class Admitted(Exception):
+            pass
+
+        def stop(contest, types):
+            raise Admitted
+
+        monkeypatch.setattr(heterogeneous, "equilibrium", stop)
+        for m, admitted in ((MAX_APPROX_POINTS // MAX_APPROX_CONTESTS, True),
+                            (MAX_APPROX_POINTS // MAX_APPROX_CONTESTS + 1, False)):
+            types = EmpiricalTypes(q=np.arange(m, dtype=float), c=np.full(m, 1e-3),
+                                   w=np.full(m, 1.0 / m))
+            # V / min cost = 10^4 contests, one per rank of n = 10^4
+            with pytest.raises(Admitted if admitted else PopulationTooLarge):
+                wta_approx_experiment(types, MAX_APPROX_CONTESTS, 10.0, m, 2, 0)
 
 
 class TestExampleObj:

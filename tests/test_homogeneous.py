@@ -149,17 +149,6 @@ class TestNewtonRate:
         p, _ = participation_rate(contest, 0.3)
         np.testing.assert_allclose(p, 1.0 - 0.5 ** (1.0 / 5.0), rtol=1e-9)
 
-    def test_slope_constants_give_the_derivative(self):
-        rng = np.random.default_rng(13)
-        for n in (2, 5, 30):
-            contest = random_contest(rng, n, exhaust=True)
-            a, b, const = contest._mixture_slope
-            for p in (0.05, 0.3, 0.7, 0.95):
-                slope = -np.exp(const + a * math.log(p) + b * math.log1p(-p)).sum()
-                h = 1e-6
-                fd = (expected_prize(contest, p + h) - expected_prize(contest, p - h)) / (2 * h)
-                np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-12)
-
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_simple_contests_at_large_n(self, n):
         # the contests participation_floor_audit solves: budget V/c = n/3
