@@ -18,10 +18,9 @@ split the budget equally among the top j ranks:
 A :class:`PrizeVector` stores this mixture, so a simple contest is one term
 at any n, and builds the n prizes only when they are read. It also keeps the
 binomial kernel prepared for its ranks (``numerics.RankKernel``), so a scalar
-``expected_prize`` costs one incomplete-beta call, one multiply and one sum,
-and the slope c'(p) that ``homogeneous.participation_rate`` needs is the same
-multiply and sum over the kernel's ``slope``. This module calls no special
-function itself.
+``expected_prize`` costs one incomplete-beta call, one multiply and one sum;
+``homogeneous.participation_rate`` solves c(p) = c with one such read a
+step. This module calls no special function itself.
 Both ``expected_prize`` and ``expected_prize_curve`` sum each point's mixture
 terms along a contiguous last axis, so c(p) depends only on the contest and p:
 a scalar, any shape, subset or order give the same bits. The test suite
@@ -103,11 +102,26 @@ class PrizeVector:
             raise NegativeWeight("mixture weights must be finite and positive")
         if total > self.budget * (1.0 + _BUDGET_SLACK):
             raise BudgetExceeded(f"prizes sum to {total}, exceeding budget {self.budget}")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "weights", weights)
+        self._store(ranks, weights, js.astype(np.intp))
+
+    @classmethod
+    def _checked(cls, n, budget: float, ranks: tuple, weights: tuple, js) -> PrizeVector:
+        """The contest of a mixture its builder has checked, without ``__post_init__``.
+
+        ``js`` is ``ranks`` as an intp array. The builders call it only on
+        inputs that ``__post_init__`` accepts and hand the rest to the
+        checked constructor, so every error keeps its class and message.
+        """
+        contest = object.__new__(cls)
+        contest.__dict__.update(n=n, budget=budget)
+        contest._store(ranks, weights, js)
+        return contest
+
+    def _store(self, ranks: tuple, weights: tuple, js) -> None:
         # the ranks j with w_j > 0 and their coefficients w_j / j in the curve mixture
-        js = js.astype(np.intp)
-        object.__setattr__(self, "_mixture", (js, np.array(weights, dtype=float) / js))
+        self.__dict__.update(
+            ranks=ranks, weights=weights, _mixture=(js, np.array(weights, dtype=float) / js)
+        )
 
     def __eq__(self, other):
         return (isinstance(other, PrizeVector) and self.budget == other.budget
@@ -130,7 +144,7 @@ class PrizeVector:
 
     @cached_property
     def _kernel(self) -> RankKernel:
-        """S_j and its slope for the mixture's ranks j, prepared once for this contest."""
+        """S_j for the mixture's ranks j, prepared once for this contest."""
         return RankKernel(self.n, self._mixture[0])
 
 
@@ -160,7 +174,8 @@ def validate_contest(values, budget: float) -> PrizeVector:
     One pass over the prizes collects the positive weights
     w_j = j * (v_j - v_{j+1}) and raises :class:`NegativePrize` or
     :class:`NotMonotone` (with the 1-based rank) at the first bad prize, with
-    absolute slack 1e-12. :class:`PrizeVector` then checks the budget.
+    absolute slack 1e-12. The budget is then checked as :class:`PrizeVector`
+    checks it, with the same errors, without repeating the rank checks.
     """
     values = tuple(map(float, values))
     ranks, weights = [], []
@@ -172,7 +187,16 @@ def validate_contest(values, budget: float) -> PrizeVector:
             weights.append(j * (v - below))
         elif v + _SLACK < below < math.inf:  # an infinite v_{j+1} fails its sign check
             raise NotMonotone(j + 1)
-    contest = PrizeVector(len(values), float(budget), ranks, weights)
+    budget = float(budget)
+    ranks, weights = tuple(ranks), tuple(weights)
+    # the ranks rise in 1..n and the weights are positive by construction
+    if values and math.isfinite(budget) and 0.0 < budget and (
+        math.isfinite(total := math.fsum(weights)) and total <= budget * (1.0 + _BUDGET_SLACK)
+    ):
+        contest = PrizeVector._checked(len(values), budget, ranks, weights,
+                                       np.array(ranks, dtype=np.intp))
+    else:  # the checked constructor raises the error
+        contest = PrizeVector(len(values), budget, ranks, weights)
     contest.__dict__["values"] = values
     return contest
 
@@ -186,7 +210,12 @@ def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
     Poisson limit covers larger populations.
     """
     _check_ranks(n)
-    return PrizeVector(n, float(budget), (j,), (float(budget),))
+    budget = float(budget)
+    js = np.array((j,))
+    if (math.isfinite(budget) and 0.0 < budget and isinstance(n, (int, np.integer))
+            and js.dtype.kind in "iu" and 0 < j <= n):
+        return PrizeVector._checked(n, budget, (j,), (budget,), js.astype(np.intp))
+    return PrizeVector(n, budget, (j,), (budget,))  # raises the error, if any
 
 
 def _check_ranks(n: int) -> None:

@@ -25,13 +25,13 @@ the rate p_j is unimodal in j: it rises up to the j with c in
 descent of p_j, with the same search (``numerics.first_descent``) as y_j.
 
 A general contest's rate solves c(p) = c, with c(p) the rank-gap mixture
-sum_{w_j > 0} (w_j / j) S_j(p). ``participation_rate`` takes safeguarded
-Newton steps on the sign bracket [0, 1], with values from
-``expected_prize`` and the slope c'(p) = sum_{w_j > 0} (w_j / j) dS_j/dp
-from the same binomial kernel the contest keeps prepared for its ranks
-(``numerics.RankKernel.slope``). A step costs one incomplete-beta call for
-the value and one sum of exponentials for the slope; about 6 steps meet the
-residual contract where bisection took about 30.
+sum_{w_j > 0} (w_j / j) S_j(p). ``participation_rate`` runs the Pegasus
+variant of regula falsi on the sign bracket [0, 1], whose end values
+c(0) = v_1 and c(1) = v_n it already holds. A step is one value of the
+curve from ``expected_prize``, one incomplete-beta call on the kernel the
+contest keeps prepared for its ranks, and no slope; on design-desk
+contests about 7 steps meet the residual contract where bisection took
+about 30.
 The two design searches read each j of a bracket of at most 65 once, in one
 kernel call, so at n <= 65 ``c_star`` costs one call on n points. Over a
 wider range ``optimal_contest`` first reads the 32 ranks around the
@@ -74,7 +74,7 @@ __all__ = [
 
 FULL_PARTICIPATION = "full_participation"
 ZERO_PARTICIPATION = "zero_participation"
-# Newton-or-bisection steps participation_rate takes before IterationLimit
+# curve reads participation_rate takes before IterationLimit
 _MAX_RATE_STEPS = 200
 # finest grid brute_force_design_check accepts, 1/grid_step: at n = 6 that is
 # 9,192 schedules in about 1.2 s (2-core x86 host), and 1/100 would be 189,509
@@ -130,15 +130,17 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     prizes are never built; a c within that tolerance of v_1 or v_n returns
     0 or 1.
 
-    Interior costs are solved by Newton's method on [0, 1] from p = 0.5 with
-    the slope of the mixture, c'(p) = sum_{w_j > 0} (w_j / j) dS_j/dp, read
-    from the contest's prepared kernel (``numerics.RankKernel.slope``) as
-    ``expected_prize`` reads the value. Each step narrows the sign bracket
-    of c(p) - c; a Newton step that does not land strictly inside it, or a
-    slope that is not finite and negative, is replaced by the bracket
-    midpoint. Raises
-    :class:`IterationLimit` after 200 steps, or sooner if the bracket closes
-    to adjacent floats first.
+    Interior costs are solved on the sign bracket [0, 1] of
+    g(p) = c(p) - c, whose end values v_1 - c > 0 > v_n - c are known,
+    from a first read at p = 0.5. Each later read is at the root of the
+    chord between the bracket ends (regula falsi), and each read moves the
+    end whose g has its sign. An end that stays in place for a second read
+    running has its stored g scaled by g_old / (g_old + g_new), g_old and
+    g_new the values at the end that moved (the Pegasus variant), so the
+    chord cannot stall against one end. A chord root that rounds onto an
+    end is replaced by the bracket midpoint. Each step reads c(p) once and
+    no slope. Raises :class:`IterationLimit` after 200 steps, or sooner if
+    the bracket closes to adjacent floats first.
     """
     _check_scalars(c=c)
     # v_1 = c(0) sums every term w_j / j; v_n = c(1) is the j = n term, if any
@@ -154,23 +156,26 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
         return 0.0, None
     if abs(v_bottom - c) <= tol:
         return 1.0, None
-    kernel = contest._kernel
-    lo, hi = 0.0, 1.0  # c(lo) > c > c(hi)
-    p = 0.5
+    # Pegasus regula falsi on the sign bracket: g = c(p) - c, g_lo > 0 > g_hi
+    lo, hi, g_lo, g_hi = 0.0, 1.0, v_top - c, v_bottom - c
+    p, side = 0.5, 0.0  # side: the sign of g at the last read
     for _ in range(_MAX_RATE_STEPS):
         gap = expected_prize(contest, p) - c
         if not math.isfinite(gap):
             raise NonFinite(f"c({p}) = {gap + c}")
         if abs(gap) <= tol:
             return p, None
+        # an end that stays twice running shrinks by g_old / (g_old + g_new)
         if gap > 0.0:
-            lo = p
+            if side > 0.0:
+                g_hi *= g_lo / (g_lo + gap)
+            lo, g_lo, side = p, gap, 1.0
         else:
-            hi = p
-        slope = float(np.add.reduce(kernel.slope(p) * coef))
-        if math.isfinite(slope) and slope < 0.0 and lo < p - gap / slope < hi:
-            p -= gap / slope
-        else:
+            if side < 0.0:
+                g_lo *= g_hi / (g_hi + gap)
+            hi, g_hi, side = p, gap, -1.0
+        p = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        if not lo < p < hi:
             p = 0.5 * (lo + hi)
             if not lo < p < hi:  # the bracket is down to adjacent floats
                 break

@@ -10,8 +10,8 @@ Conventions
   the cost breakpoints are built from it. ``RankKernel(n, js)`` is the same
   kernel with its arguments prepared once per (n, ranks), for a caller that
   evaluates one set of ranks at many p; ``rank_cdf`` is one such call.
-  ``RankKernel.slope(p)`` is dS_j/dp from the same prepared arguments, the
-  slope of every expected-prize curve.
+  Its slope in p, dS_j/dp = -(n-1) Pr[Binomial(n-2, p) = j-1], is one read
+  of ``LogPmfKernel``; ``participation_rate`` needs only values.
 * ``binom_logpmf(n, ks, p)`` is log Pr[Binomial(n, p) = k]. ``LogPmfKernel(n,
   ks)`` holds its log C(n, k) once per (n, ks), and ``binom_logpmf`` is one
   call of it, as ``rank_cdf`` is of ``RankKernel``. Both prepared kernels
@@ -36,7 +36,7 @@ Conventions
 Everything here is deterministic. ``RankKernel`` and ``LogPmfKernel`` are the
 one vectorised binomial kernel; every binomial pmf, cdf, tail and density in
 the package, the bound audit's included, is computed through it.
-``RankKernel`` is the one caller of ``special.betainc`` and ``betaln``,
+``RankKernel`` is the one caller of ``special.betainc``,
 ``LogPmfKernel`` of ``gammaln``, and the two kernels share ``xlogy`` and
 ``xlog1py``. No other module calls these or the inverse and Poisson
 functions this module wraps, and the test suite scans the package's source
@@ -115,7 +115,7 @@ class RankKernel:
     broadcast shape.
     """
 
-    __slots__ = ("_a", "_b", "_full", "_slope_terms")
+    __slots__ = ("_a", "_b", "_full")
 
     def __init__(self, n: int, js):
         js = np.asarray(js)
@@ -124,7 +124,6 @@ class RankKernel:
         self._b = js.astype(float)
         full = js >= n
         self._full = full if full.any() else None
-        self._slope_terms = None  # built by the first slope call
 
     def __call__(self, p) -> np.ndarray:
         return self.of_complement(1.0 - p)
@@ -137,35 +136,12 @@ class RankKernel:
             np.copyto(s, 1.0, where=self._full)
         return s
 
-    def slope(self, p) -> np.ndarray:
-        """dS_j/dp = -p^(j-1) (1-p)^(n-j-1) / B(n-j, j), and exactly 0 where j >= n.
-
-        Minus the incomplete-beta density at 1 - p for the kernel's own
-        (a, b) = (n - j, j), in logs on ``xlogy``/``xlog1py``, so p = 0 and
-        p = 1 need no special case. The first call builds the constants
-        (b - 1, a - 1, -betaln(a, b)), with -inf for the ranks j >= n so
-        that their exponential is 0, and ``take`` keeps them. ``p``
-        broadcasts against the ranks as in ``kernel(p)``. The relative error
-        grows like eps n ln n, from the log-gamma sums inside ``betaln``:
-        against mpmath it stays below 1e-12 up to n = 300 and reaches 2e-9
-        at n = 10^6.
-        """
-        if self._slope_terms is None:
-            log_norm = -special.betaln(self._a, self._b)
-            if self._full is not None:
-                log_norm = np.where(self._full, -np.inf, log_norm)
-            self._slope_terms = (self._b - 1.0, self._a - 1.0, log_norm)
-        b1, a1, log_norm = self._slope_terms
-        return -np.exp(special.xlogy(b1, p) + special.xlog1py(a1, -p) + log_norm)
-
     def take(self, keep) -> RankKernel:
         """The kernel of the ranks ``js[keep]``, from a kernel prepared on 1-d ``js``."""
         out = RankKernel.__new__(RankKernel)
         out._a, out._b = self._a[keep], self._b[keep]
         full = None if self._full is None else self._full[keep]
         out._full = full if full is not None and full.any() else None
-        terms = self._slope_terms
-        out._slope_terms = None if terms is None else tuple(t[keep] for t in terms)
         return out
 
 

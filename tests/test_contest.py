@@ -103,6 +103,29 @@ def parent_first_violation(values):
     return None, None
 
 
+def build_outcome(build, *args):
+    """The error class and message a builder raises, or its contest's stored terms."""
+    try:
+        contest = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    js, coef = contest._mixture
+    return (contest.n, contest.budget, contest.ranks, contest.weights,
+            js.dtype, js.tobytes(), coef.tobytes())
+
+
+def constructor_route(values, budget):
+    """validate_contest's weights handed to the checking constructor."""
+    values = tuple(map(float, values))
+    below = values[1:] + (0.0,)
+    ranks = [j for j in range(1, len(values) + 1) if values[j - 1] > below[j - 1]]
+    weights = [j * (values[j - 1] - below[j - 1]) for j in ranks]
+    return PrizeVector(len(values), float(budget), ranks, weights)
+
+
+BAD_BUDGETS = (1.0, 0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 3, np.float64(2.5))
+
+
 class TestMixtureStorage:
     def test_simple_contest_is_built_in_constant_time(self):
         t0 = time.perf_counter()
@@ -117,6 +140,32 @@ class TestMixtureStorage:
                 m = make_simple_contest(j, budget, n)
                 assert (m.ranks, m.weights) == ((j,), (budget,))
                 assert m.values == (budget / j,) * j + (0.0,) * (n - j)
+
+    def test_simple_contest_raises_what_the_constructor_raises(self):
+        """Built without re-running the constructor's checks, M^j raises the
+        same class and message for every bad j, n or budget, and stores the
+        same terms for every good one."""
+        js = (0, 1, 2, 3, 5, 6, -1, 2.0, 2.5, True, np.int64(2), np.uint8(3), np.bool_(True))
+        ns = (0, 1, 3, 5, 5.0, -2, np.int64(5), True, np.int32(4), 10**6)
+        for j in js:
+            for n in ns:
+                for budget in BAD_BUDGETS:
+                    got = build_outcome(make_simple_contest, j, budget, n)
+                    want = build_outcome(PrizeVector, n, float(budget), (j,), (float(budget),))
+                    assert got == want, (j, n, budget)
+
+    def test_validate_contest_raises_what_the_constructor_raises(self):
+        """The budget checks validate_contest does itself raise what the
+        constructor would: an empty or all-zero schedule, a weight that
+        overflows, a budget overrun and a bad budget."""
+        schedules = [(), (0.0,), (0.0, 0.0, 0.0), (1.0,), (0.5, 0.5), (0.6, 0.5), (0.9, 0.2),
+                     (1e308, 1e308, 0.0), (1.7e308, 1e308), (0.5 + 1e-10, 0.5), (1.0, 1e-9),
+                     (1e-13, 0.0), (0.3, 0.3 + 1e-13), [0.4, 0.3, 0.2], np.array([0.5, 0.25])]
+        for values in schedules:
+            for budget in BAD_BUDGETS:
+                got = build_outcome(validate_contest, values, budget)
+                want = build_outcome(constructor_route, values, budget)
+                assert got == want, (values, budget)
 
     def test_w_inverse_bitwise_equal_to_reverse_loop(self):
         rng = np.random.default_rng(8)

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from contest_forge import homogeneous
+from contest_forge import homogeneous, numerics
 from contest_forge.contest import expected_prize, make_simple_contest, validate_contest
 from contest_forge.distributions import PiecewiseLinearCDF, Uniform, cdf
 from contest_forge.errors import (
@@ -104,10 +104,12 @@ def desk_contest(rng, n):
 
 
 class TestNewtonRate:
-    """participation_rate's Newton route, with the bisection as its oracle.
+    """participation_rate's regula falsi (Pegasus) route, with the bisection
+    as its oracle. It replaced Newton's method and reads only values of c(p),
+    one kernel call a step, no slope.
 
-    Flat stretches of c(p) let the two routes differ by about 1e-8 in p while
-    both meet the contract, so the contract is what is pinned.
+    Flat stretches of c(p) let the routes differ by about 1e-7 in p while
+    all meet the contract, so the contract is what is pinned.
     """
 
     def test_random_general_contests_meet_the_contract(self):
@@ -132,7 +134,7 @@ class TestNewtonRate:
                     assert flag is None
                     assert rate_contract(contest, c, p) <= 1e-10, (n, c)
 
-    def test_last_rank_weight_adds_no_slope_term(self):
+    def test_last_rank_weight_adds_a_constant_term(self):
         # every rank pays, so w_n > 0 and the mixture holds S_n = 1
         rng = np.random.default_rng(12)
         for n in (2, 3, 7, 40):
@@ -191,8 +193,44 @@ class TestNewtonRate:
             p, _ = participation_rate(contest, c)
             steps.append(len(calls) - before)
             assert calls[-1] == p
-        assert np.median(steps) <= 8, np.median(steps)
-        assert max(steps) <= 20, max(steps)
+        assert np.median(steps) <= 7, np.median(steps)
+        assert max(steps) <= 16, max(steps)
+
+    def test_one_kernel_read_per_step(self, monkeypatch):
+        """Each step is one expected_prize call, and that call is the step's
+        only read of the binomial kernel: one betainc, and no slope."""
+        rng = np.random.default_rng(15)
+        queries = [desk_contest(rng, int(rng.integers(2, 61))) for _ in range(50)]
+        queries.append((make_simple_contest(3, 1.0, 40), 0.01))
+        prizes, reads, special_calls = [], [], []
+        of_complement = numerics.RankKernel.of_complement
+
+        def counted_prize(contest, p):
+            prizes.append(p)
+            return expected_prize(contest, p)
+
+        def counted_read(kernel, q):
+            reads.append(q)
+            return of_complement(kernel, q)
+
+        class CountedSpecial:
+            def __getattr__(self, name):
+                function = getattr(special, name)
+
+                def counted(*args, **kwargs):
+                    special_calls.append(name)
+                    return function(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(homogeneous, "expected_prize", counted_prize)
+        monkeypatch.setattr(numerics.RankKernel, "of_complement", counted_read)
+        monkeypatch.setattr(numerics, "special", CountedSpecial())
+        for contest, c in queries:
+            del prizes[:], reads[:], special_calls[:]
+            participation_rate(contest, c)
+            assert len(prizes) == len(reads) > 0
+            assert special_calls == ["betainc"] * len(prizes)
 
     def test_step_cap_raises_iteration_limit(self, monkeypatch):
         monkeypatch.setattr(homogeneous, "_MAX_RATE_STEPS", 2)
