@@ -41,7 +41,6 @@ from .errors import (
 )
 from .homogeneous import MAX_POPULATION, _check_scalars, optimal_contest, participation_rate
 from .numerics import (
-    _PROBES,
     LogPmfKernel,
     RankKernel,
     binom_logpmf,
@@ -303,9 +302,7 @@ def poisson_limit(budget: float, c: float) -> PoissonLimit:
             f"V/c = {vc!r} exceeds the largest supported scale {MAX_POISSON_SCALE:g}"
         )
     j_max = int(math.floor(vc + 1e-12))
-    near = None
-    if j_max - 1 > _PROBES:  # a narrower range is read whole, with no guess
-        near = vc - math.sqrt(vc / math.log(vc))
+    near = vc - math.sqrt(vc / math.log(vc))
     j_star, lam = first_descent(
         lambda js: poisson_cdf_partial_inv(js, c * js / budget), j_max, near
     )

@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .distributions import _is_integer
 from .errors import (
     BudgetExceeded,
     BudgetNotExhausted,
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 _SLACK = 1e-12
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # largest rank: ranks index intp arrays
 _BUDGET_SLACK = 1e-9
 # largest n that make_simple_contest accepts; see its docstring
 _MAX_RANKS = 1_000_000
@@ -92,17 +94,16 @@ class PrizeVector:
         if not (math.isfinite(self.budget) and self.budget > 0.0):
             raise BudgetExceeded(f"budget must be positive and finite, got {self.budget!r}")
         ranks, weights = tuple(self.ranks), tuple(self.weights)
-        js = np.array(ranks)
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1
-                and len(ranks) == len(weights) and (not ranks or js.dtype.kind in "iu")
-                and all(map(operator.lt, (0,) + ranks, ranks + (self.n + 1,)))):
+        if not (_is_integer(self.n) and self.n >= 1 and len(ranks) == len(weights)
+                and all(map(_is_integer, ranks)) and all(map(
+                    operator.lt, (0,) + ranks, ranks + (min(self.n, _MAX_INDEX) + 1,)))):
             raise IndexOutOfRange(f"need integers n >= 1 and ranks rising in 1..n; n={self.n!r}")
         # min alone misses a NaN that is not first, but fsum then returns NaN
         if not (min(weights, default=1.0) > 0.0 and math.isfinite(total := math.fsum(weights))):
             raise NegativeWeight("mixture weights must be finite and positive")
         if total > self.budget * (1.0 + _BUDGET_SLACK):
             raise BudgetExceeded(f"prizes sum to {total}, exceeding budget {self.budget}")
-        self._store(ranks, weights, js.astype(np.intp))
+        self._store(ranks, weights, np.array(ranks, dtype=np.intp))
 
     @classmethod
     def _checked(cls, n, budget: float, ranks: tuple, weights: tuple, js) -> PrizeVector:
@@ -211,10 +212,9 @@ def make_simple_contest(j: int, budget: float, n: int) -> PrizeVector:
     """
     _check_ranks(n)
     budget = float(budget)
-    js = np.array((j,))
-    if (math.isfinite(budget) and 0.0 < budget and isinstance(n, (int, np.integer))
-            and js.dtype.kind in "iu" and 0 < j <= n):
-        return PrizeVector._checked(n, budget, (j,), (budget,), js.astype(np.intp))
+    if (math.isfinite(budget) and 0.0 < budget and _is_integer(n) and _is_integer(j)
+            and 0 < j <= n):
+        return PrizeVector._checked(n, budget, (j,), (budget,), np.array((j,), dtype=np.intp))
     return PrizeVector(n, budget, (j,), (budget,))  # raises the error, if any
 
 

@@ -355,8 +355,8 @@ def output_cdf(
 ) -> float:
     """CDF at x of one draw's output q * participate (non-participants produce 0).
 
-    One read of the cumulative weights that :func:`fosd_check` compares, so
-    the two give the same bits at every x.
+    One search of the output law that :func:`exact_objective` sums and
+    :func:`fosd_check` compares, so the two give the same bits at every x.
     """
     _check_profile(types, profile)
     if not x >= 0.0:  # NaN fails here too
@@ -376,7 +376,9 @@ def fosd_check(
     and ``eq_profile`` must be a best-response fixed point for the same
     contest (:class:`ProfileNotSubEquilibrium` otherwise). Then checks
     output_cdf(eq, x) <= output_cdf(sub, x) + 1e-12 at 0 and at every
-    support quality.
+    support quality. The dominance lemma is known only on equal-weight
+    supports, as ``discretize`` builds them: with unequal weights this can
+    be False for a valid sub-equilibrium.
     """
     if not is_sub_equilibrium(contest, types, sub_profile):
         raise ProfileNotSubEquilibrium("sub profile violates interim rationality")
@@ -391,11 +393,19 @@ def fosd_check(
 def _output_cdfs(
     types: EmpiricalTypes, profile: ParticipationProfile, xs: np.ndarray
 ) -> np.ndarray:
-    """output_cdf at every x in ``xs`` (or at one x), from one sort of the outputs."""
+    """output_cdf at every x in ``xs`` (or at one x): one search of the output law."""
+    out, cum = _output_law(types, profile)
+    return cum[np.searchsorted(out, xs, side="right")]
+
+
+def _output_law(
+    types: EmpiricalTypes, profile: ParticipationProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, F): one draw's outputs q * participate, stably sorted, and F_k,
+    the weight of the first k of them for k = 0..m (F_0 = 0)."""
     out = np.where(profile.mask, types.q, 0.0)
     order = np.argsort(out, kind="stable")
-    cum = np.concatenate(([0.0], np.cumsum(types.w[order])))
-    return cum[np.searchsorted(out[order], xs, side="right")]
+    return out[order], np.concatenate(([0.0], np.cumsum(types.w[order])))
 
 
 def rule_from_profile(types: EmpiricalTypes, profile: ParticipationProfile):
@@ -484,21 +494,19 @@ def exact_objective(
     """Exact expected output objective of n i.i.d. draws from the support.
 
     A draw of point i outputs x_i = q_i if the profile includes i and 0
-    otherwise. ``objective`` is "max" or "sum". With the atoms sorted by x and
-    F_k the cumulative weight of the first k of them,
+    otherwise. ``objective`` is "max" or "sum". On the output law that
+    :func:`output_cdf` reads, x_k in increasing order and F_k their weight,
     E[max] = sum_k x_k (F_k^n - F_{k-1}^n) (tied outputs telescope, and
     negative q needs no special case); E[sum] = n sum_i w_i x_i.
     """
     _check_profile(types, profile)
     _check_scalars(n=n)
-    x = np.where(profile.mask, types.q, 0.0)
     if objective == "sum":
-        return float(n * np.dot(types.w, x))
+        return float(n * np.dot(types.w, np.where(profile.mask, types.q, 0.0)))
     if objective != "max":
         raise ValidationError(f"unknown objective {objective!r}")
-    order = np.argsort(x, kind="stable")
-    top_cdf = np.cumsum(types.w[order]) ** n
-    return float(np.dot(x[order], np.diff(top_cdf, prepend=0.0)))
+    x, cum = _output_law(types, profile)
+    return float(np.dot(x, np.diff(cum**n)))
 
 
 @dataclass(frozen=True)
@@ -551,7 +559,8 @@ def highcost_subequilibrium(
     the kept set is interim-rational under winner-take-all with budget V
     (the lottery decomposition argument says it must be: ranks below the
     top pay at most V/2 < c, so the top-rank term carries the rationality).
-    A failure raises :class:`NotSubEquilibrium` loudly.
+    A failure raises :class:`NotSubEquilibrium` loudly. That WTA's equilibrium
+    dominates it rests on the lemma of :func:`fosd_check`, on equal weights.
     """
     lottery_decomposition(contest)  # validates budget exhaustion
     budget = contest.budget
@@ -585,7 +594,8 @@ def wta_approx_experiment(
     at most V / min-cost prizes and its exact expected maximum output. M^1
     is winner-take-all, so its row gives W; the best row, B, is a certified
     lower bound on the optimum. Reports the ratio B / W and the exact check
-    3W >= B.
+    3W >= B. The bound rests on the lemma of :func:`fosd_check`, known only
+    on equal weights: a discretized law, not any ``EmpiricalTypes``.
     ``seed`` drives the discretization only; ``replicas`` is accepted for
     compatibility and does not affect the result. More than
     ``MAX_APPROX_CONTESTS`` (10^4) contests, or more than

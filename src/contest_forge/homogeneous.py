@@ -57,7 +57,7 @@ from .contest import (
 )
 from .distributions import QualityDistribution, _is_integer, quantile
 from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
-from .numerics import _PROBES, _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
+from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
 __all__ = [
     "ThresholdEquilibrium",
@@ -273,12 +273,10 @@ def optimal_contest(
         return DesignResult(1, contest, eq, c_star_at_p=V)
 
     j_max = min(n, int(math.floor(V / c + 1e-12)))
-    near = None
-    if j_max - 1 > _PROBES:  # a narrower range is read whole, with no guess
-        # j* ~ vc - sqrt((1 - vc/n) vc / ln vc): the Poisson limit's scale
-        # with the binomial variance factor; it only places the first read
-        vc = V / c
-        near = vc - math.sqrt(max(0.0, 1.0 - vc / n) * vc / math.log(vc))
+    # j* ~ vc - sqrt((1 - vc/n) vc / ln vc): the Poisson limit's scale with
+    # the binomial variance factor; it only places the first read
+    vc = V / c
+    near = vc - math.sqrt(max(0.0, 1.0 - vc / n) * vc / math.log(vc))
     # M^j's rate solves (V/j) S_j(p) = c; p_j is unimodal in j (the
     # breakpoints are ordered), so its first descent is the smallest argmax
     j_star, p = first_descent(lambda js: rank_cdf_inv(n, js, c * js / V), j_max, near)

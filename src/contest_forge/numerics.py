@@ -27,9 +27,10 @@ Conventions
   is the equilibrium rate of the simple contest M^j, in closed form.
 * ``first_descent`` finds the first j at which a sequence stops increasing,
   the argmax of a unimodal sequence, without evaluating all of a long one.
-  Given a predicted index it first reads a window of 32 indices around it,
-  which ends the search when the window holds the descent and otherwise
-  narrows the bracket to one side of it; the answer is the same.
+  It is one loop: each round reads the whole bracket when at most 65
+  indices remain, a window of 34 around a predicted index on the first
+  round, or else 64 probe pairs, and narrows the bracket by the one descent
+  test. The prediction moves the reads, never the answer.
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
@@ -248,55 +249,46 @@ def first_descent(
     Returns j = hi when f never descends. ``f`` maps an integer array of
     indices in [1, hi] to the values there. For a unimodal f the first
     descent is the smallest argmax (ties within 1e-12 relative), so it is
-    searched for instead of scanned: while the bracket holding it is wider
-    than 64, a round probes 64 evenly spaced indices j and j + 1 and narrows
-    the bracket to the gap between two probes; a bracket of at most 65
-    indices is then read whole, each index once. So hi <= 65 takes one call
-    of f on hi points. f(j) == 0 means a left tail has underflowed, not that
-    f has peaked.
-
-    ``near`` is a predicted first descent. When it is given and hi > 65, the
-    first round instead reads the 32 indices [a, a + 31] around it, clipped
-    into [2, hi - 32], together with a - 1 and a + 32: one call of f on 34
-    points. A descent at a - 1 leaves the bracket [1, a - 1]; otherwise the
-    first descent inside the window is the answer, and a window without one
-    leaves [a + 32, hi] to the probed rounds. The answer does not depend on
-    ``near``: like the probes, the read relies only on f descending from its
-    first descent on, so a descent at a - 1 puts the first one at or before
-    it, and none there puts it after.
+    searched for instead of scanned, in rounds of one call of f each. A
+    bracket [lo, hi] of at most 65 indices is read whole, so hi <= 65 is one
+    call on hi points. Given ``near``, a predicted first descent, the first
+    round of a wider bracket reads the 34 indices [a - 1, a + 32], with
+    a = round(near) - 16 clipped into [2, hi - 32]. Any other round probes
+    64 evenly spaced j, the last hi - 1, and each j + 1: 128 points. A round
+    narrows the bracket by one rule: hi becomes the first tested j that
+    descends, and lo the tested j before it, plus 1; with no descent, lo
+    becomes the last index read. The search ends at a bracket of one index,
+    whose value the round has read. f(j) == 0 means a left tail has
+    underflowed, not that f has peaked. The answer does not depend on
+    ``near``: the rule relies only on f descending from its first descent on.
     """
     lo = 1  # the first descent lies in [lo, hi]
-    if near is not None and hi - lo > _PROBES:
-        a = min(max(round(near) - _WINDOW // 2, 2), hi - _WINDOW)
-        y = f(np.arange(a - 1, a + _WINDOW + 1))
-        descent = (y[:-1] > 0.0) & (y[1:] <= y[:-1] * (1.0 + _TIE_TOL))
-        if descent[0]:
-            hi = a - 1
-        elif descent.any():
-            first = int(np.argmax(descent))
-            return a - 1 + first, float(y[first])
+    while True:
+        if hi - lo <= _PROBES:
+            read = np.arange(lo, hi + 1)
+            js = read[:-1]
+        elif near is not None:
+            a = min(max(round(near) - _WINDOW // 2, 2), hi - _WINDOW)
+            read = np.arange(a - 1, a + _WINDOW + 1)
+            js = read[:-1]
+            near = None
         else:
-            lo = a + _WINDOW
-    while hi - lo > _PROBES:
-        # spacing >= 1, so the probes are distinct; the last is hi - 1
-        js = lo + (np.arange(_PROBES) * (hi - 1 - lo)) // (_PROBES - 1)
-        values = f(np.concatenate([js, js + 1]))
-        y, y_next = values[:_PROBES], values[_PROBES:]
+            # spacing >= 1, so the probes are distinct; the last is hi - 1
+            js = lo + (np.arange(_PROBES) * (hi - 1 - lo)) // (_PROBES - 1)
+            read = np.concatenate([js, js + 1])
+        values = f(read)
+        # f(j + 1) is read 1 after f(j) in a contiguous read, 64 after in probes
+        y, y_next = values[: js.size], values[read.size - js.size :]
         descent = (y > 0.0) & (y_next <= y * (1.0 + _TIE_TOL))
-        if not descent.any():  # the last probe is hi - 1, so f peaks at hi
-            return hi, float(y_next[-1])
-        first = int(np.argmax(descent))
-        if first > 0:
-            lo = int(js[first - 1]) + 1
-        hi = int(js[first])
+        if descent.any():
+            first = int(descent.argmax())
+            if first > 0:
+                lo = int(js[first - 1]) + 1
+            hi, value = int(js[first]), y[first]
+        else:
+            lo, value = int(read[-1]), values[-1]
         if lo == hi:
-            return hi, float(y[first])
-    y = f(np.arange(lo, hi + 1))
-    descent = (y[:-1] > 0.0) & (y[1:] <= y[:-1] * (1.0 + _TIE_TOL))
-    if not descent.any():
-        return hi, float(y[-1])
-    first = int(np.argmax(descent))
-    return lo + first, float(y[first])
+            return hi, float(value)
 
 
 def bisect_decreasing(

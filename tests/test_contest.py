@@ -75,6 +75,10 @@ class TestPrizeVector:
             make_simple_contest(6, 1.0, 5)
         with pytest.raises(IndexOutOfRange):
             make_simple_contest(0, 1.0, 5)
+        for j, n in ((1, True), (np.array(2), 5)):  # a bool or an array is no integer
+            with pytest.raises(IndexOutOfRange):
+                make_simple_contest(j, 1.0, n)
+        assert make_simple_contest(np.int64(2), 1.0, np.int64(5)).values == m2.values
 
     def test_simple_contest_population_limit(self):
         assert make_simple_contest(3, 1.0, 10**6).n == 10**6
@@ -145,7 +149,8 @@ class TestMixtureStorage:
         """Built without re-running the constructor's checks, M^j raises the
         same class and message for every bad j, n or budget, and stores the
         same terms for every good one."""
-        js = (0, 1, 2, 3, 5, 6, -1, 2.0, 2.5, True, np.int64(2), np.uint8(3), np.bool_(True))
+        js = (0, 1, 2, 3, 5, 6, -1, 2.0, 2.5, True, np.int64(2), np.uint8(3), np.bool_(True),
+              np.array(2))
         ns = (0, 1, 3, 5, 5.0, -2, np.int64(5), True, np.int32(4), 10**6)
         for j in js:
             for n in ns:
@@ -237,6 +242,9 @@ class TestMixtureStorage:
             (3, (1, 2), (math.inf, 0.5), 1.0, NegativeWeight),
             (3, (1, 2), (0.6, 0.5), 1.0, BudgetExceeded),
             (3, (1,), (0.5,), math.nan, BudgetExceeded),
+            (True, (1,), (0.5,), 1.0, IndexOutOfRange),
+            (5, (np.array(2),), (0.5,), 1.0, IndexOutOfRange),
+            (2**64, (2**63,), (0.5,), 1.0, IndexOutOfRange),
         ],
     )
     def test_constructor_checks_the_terms(self, n, ranks, weights, budget, error):

@@ -709,6 +709,23 @@ class TestFosd:
             sub = ParticipationProfile(eq.mask & (rng.random(size) < 0.6))
             assert fosd_check(types, eq, sub, contest)
 
+    def test_lemma_needs_equal_weights(self):
+        """Under winner-take-all at n = 2 the high point (q = 2, c = 0.5)
+        enters at prize 1, and the prize left for the low point, 1 - w_high,
+        is below its cost 0.9, so the equilibrium is {high}. The low point
+        alone is a sub-equilibrium: with no entrant above it, its prize is 1.
+        Weights (0.6, 0.4), a draw of criterion 08's law, give the sub-
+        equilibrium output more mass above 0 than the equilibrium's, so
+        dominance fails; equal weights give the lemma's tie at 0."""
+        wta = make_simple_contest(1, 1.0, 2)
+        low = ParticipationProfile(np.array([True, False]))
+        for w, dominated in (([0.6, 0.4], False), ([0.5, 0.5], True)):
+            types = EmpiricalTypes(q=[1.0, 2.0], c=[0.9, 0.5], w=w, n=2)
+            eq = equilibrium(wta, types).profile
+            assert eq == ParticipationProfile(np.array([False, True]))
+            assert is_sub_equilibrium(wta, types, low)
+            assert fosd_check(types, eq, low, wta) is dominated
+
     def test_gate_on_non_sub_equilibrium(self):
         types = EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 5.0], w=[0.5, 0.5], n=2)
         eq = equilibrium(WTA2, types).upper
