@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every subcommand is deterministic for a fixed seed and writes its whole
-output once, so reruns are byte-identical. Floats are emitted with 12
-significant digits in both JSON and CSV. Exit codes: 0 success, 1 invalid
-input, 2 numerical non-convergence; nothing else.
+output once, so reruns are byte-identical. ``design``, ``compstat``,
+``poisson`` and ``scan`` write a table as JSON or CSV (``--format``);
+``hetero-eq``, ``approx`` and ``example-obj`` write a nested JSON report, and
+have no ``--format``. Floats are emitted with 12 significant digits in both
+JSON and CSV. Exit codes: 0 success, 1 invalid input, 2 numerical
+non-convergence; nothing else.
 """
 
 from __future__ import annotations
@@ -12,16 +15,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from .compstat import asymptotic_scan, breakpoints, poisson_limit
-from .contest import PrizeVector, contest_from_dict
+from .contest import contest_from_dict
 from .distributions import (
     EmpiricalTypes,
-    RectMixture,
     Uniform,
     _finite_types,
     distribution_from_dict,
@@ -104,19 +105,8 @@ def _load_distribution(path: str):
     return distribution_from_dict(_load_json(path))
 
 
-def _quality_distribution(args):
-    if args.dist is None:
-        return Uniform(0.0, 1.0)
-    qd = _load_distribution(args.dist)
-    if isinstance(qd, (RectMixture, EmpiricalTypes)):
-        raise ValidationError(
-            "design needs a quality-marginal distribution, not a joint type law"
-        )
-    return qd
-
-
 def cmd_design(args) -> str:
-    qd = _quality_distribution(args)
+    qd = Uniform(0.0, 1.0) if args.dist is None else _load_distribution(args.dist)
     result = optimal_contest(args.n, args.prize, args.cost, qd)
     eq = result.equilibrium
     payload = {
@@ -214,33 +204,23 @@ def _profile_summary(types: EmpiricalTypes, profile) -> dict:
 
 
 def cmd_hetero_eq(args) -> str:
-    if args.format == "csv":
-        raise ValidationError("hetero-eq emits a nested report; use --format json")
     jd = _load_distribution(args.dist)
     contest = contest_from_dict(_load_json(args.contest))
     if contest.n != args.n:
-        raise ValidationError(
-            f"contest has {contest.n} ranks but --n is {args.n}"
-        )
+        raise ValidationError(f"contest has {contest.n} ranks but --n is {args.n}")
     types = _finite_types(jd, args.m, args.seed, args.n)
-    bracket = equilibrium(contest, types)
+    eq = equilibrium(contest, types)
     payload = {
         "n": args.n,
         "support": types.support_size,
-        "converged": bracket.converged,
-        "iterations": bracket.iterations,
-        "lower": _profile_summary(types, bracket.lower),
-        "upper": _profile_summary(types, bracket.upper),
-        "upper_is_sub_equilibrium": is_sub_equilibrium(
-            contest, types, bracket.upper
-        ),
+        "iterations": eq.iterations,
+        "profile": _profile_summary(types, eq.profile),
+        "is_sub_equilibrium": is_sub_equilibrium(contest, types, eq.profile),
     }
     return _json_text(payload)
 
 
 def cmd_approx(args) -> str:
-    if args.format == "csv":
-        raise ValidationError("approx emits a nested report; use --format json")
     jd = _load_distribution(args.dist)
     report = wta_approx_experiment(
         jd, args.n, args.prize, args.m, args.replicas, args.seed
@@ -249,18 +229,16 @@ def cmd_approx(args) -> str:
 
 
 def cmd_example_obj(args) -> str:
-    if args.format == "csv":
-        raise ValidationError("example-obj emits a nested report; use --format json")
     report = example_obj(
         args.prize, args.n, args.eps, args.seed, replicas=args.replicas
     )
     return _json_text(report)
 
 
-def _add_output_flags(sub, default_format: str) -> None:
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default=default_format
-    )
+def _add_output_flags(sub, default_format: str | None = None) -> None:
+    """``--out`` on every subcommand; ``--format`` where both formats exist."""
+    if default_format is not None:
+        sub.add_argument("--format", choices=("json", "csv"), default=default_format)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -307,7 +285,7 @@ def _build_parser() -> _Parser:
     hetero.add_argument("--n", type=int, required=True)
     hetero.add_argument("--m", type=int, default=400, help="discretization size")
     hetero.add_argument("--seed", type=int, default=0)
-    _add_output_flags(hetero, "json")
+    _add_output_flags(hetero)
     hetero.set_defaults(run=cmd_hetero_eq)
 
     approx = commands.add_parser(
@@ -322,7 +300,7 @@ def _build_parser() -> _Parser:
         help="ignored; objectives are exact (kept for compatibility)",
     )
     approx.add_argument("--seed", type=int, default=0)
-    _add_output_flags(approx, "json")
+    _add_output_flags(approx)
     approx.set_defaults(run=cmd_approx)
 
     example = commands.add_parser(
@@ -336,7 +314,7 @@ def _build_parser() -> _Parser:
         "--replicas", type=int, default=200,
         help="ignored; objectives are exact (kept for compatibility)",
     )
-    _add_output_flags(example, "json")
+    _add_output_flags(example)
     example.set_defaults(run=cmd_example_obj)
 
     return parser

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .contest import make_simple_contest
-from .distributions import Uniform
+from .distributions import Uniform, _is_integer
 from .errors import (
     IterationLimit,
     OrderingViolation,
@@ -276,6 +276,9 @@ def wta_optimal(n: int, budget: float, c: float) -> bool:
 
 def poisson_value(budget: float, j: int, lam: float) -> float:
     """Limit expected-prize curve of M^j: (V/j) * Pr[Poisson(lam) < j]."""
+    _check_scalars(budget=budget)
+    if not (_is_integer(j) and j >= 1 and lam >= 0.0):  # NaN fails too
+        raise OutOfRange(f"need an integer j >= 1 and lam >= 0, got j={j!r}, lam={lam!r}")
     return (budget / j) * poisson_cdf_partial(lam, j)
 
 
@@ -409,10 +412,11 @@ def bound_audit(n: int, p: float, j: int, vc: float | None = None) -> dict:
 
     Returns a report dict keyed by check name.
     """
+    _check_scalars(n=n)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie strictly in (0, 1), got {p!r}")
-    if not 1 <= j <= n:
-        raise ValidationError(f"need 1 <= j <= n, got j={j}, n={n}")
+    if not (_is_integer(j) and 1 <= j <= n):
+        raise ValidationError(f"need an integer 1 <= j <= n, got j={j!r}, n={n}")
     report: dict[str, dict] = {}
     pn = p * n
     log_pmf = float(binom_logpmf(n, j, p))

@@ -164,6 +164,8 @@ class SimpleLottery:
     budget: float
 
     def __post_init__(self):
+        if not all(0.0 <= x < math.inf for x in self.probabilities):  # NaN fails too
+            raise OutOfRange("lottery probabilities must be finite and nonnegative")
         total = math.fsum(self.probabilities)
         if abs(total - 1.0) > 1e-12:
             raise BudgetNotExhausted(f"lottery probabilities sum to {total}, expected 1")
@@ -275,6 +277,8 @@ def w_inverse(weights, budget: float | None = None) -> PrizeVector:
     defaults to the total of the weights, which is the sum of the prizes.
     """
     w = np.array(weights, dtype=float, ndmin=1)
+    if w.ndim != 1:
+        raise ValidationError(f"weights must be one-dimensional, got shape {w.shape}")
     bad = np.flatnonzero(~(np.isfinite(w) & (w >= -_SLACK)))
     if bad.size:
         raise NegativeWeight(f"weight at rank {bad[0] + 1} is negative or not finite")

@@ -14,7 +14,9 @@ applied only to colliding points). This distinct-q convention is the finite
 stand-in for an atomless marginal and is relied on by the solvers' strict
 comparisons. The solvers and the CLI turn a type law into a finite support
 in one place, ``_finite_types``: a support is used as given, a mixture is
-discretized, and a quality marginal, which has no costs, is rejected.
+discretized, and a quality marginal, which has no costs, is rejected. The
+homogeneous solvers refuse anything but a quality marginal in
+``_check_marginal``.
 
 Convention used throughout: the maximum over an empty participant set is 0.
 """
@@ -265,6 +267,8 @@ class EmpiricalTypes:
 
 def sample_joint(jd: RectMixture, rng: np.random.Generator, size: int):
     """Draw ``size`` (q, c) pairs as two arrays: pick a rectangle by weight, then uniform inside it."""
+    if not (_is_integer(size) and size >= 0):
+        raise ValidationError(f"need an integer size >= 0, got {size!r}")
     w = jd._weight_array()
     k = len(jd.components)
     q_lo = np.array([c.q_lo for c in jd.components])
@@ -447,6 +451,14 @@ def _finite_types(law, m: int, seed, n: int) -> EmpiricalTypes:
         f"{type(law).__name__} is not a joint (quality, cost) type law; "
         "use a rect_mixture or an empirical support"
     )
+
+
+def _check_marginal(qd) -> None:
+    """A joint (q, c) law or a finite support is not a quality marginal."""
+    if not isinstance(qd, QualityDistribution):
+        raise ValidationError(
+            f"{type(qd).__name__} is not a quality marginal; use Uniform or PiecewiseLinearCDF"
+        )
 
 
 # --- JSON wire formats ----------------------------------------------------

@@ -14,8 +14,9 @@ masses the next points would have if they all entered, and keeps those
 reads across failures: a failure leaves the mass unchanged, and on the
 equal-weight supports that :func:`~contest_forge.distributions.discretize`
 builds the masses after each entrant are the ones read. A solve is linear
-in the support size; :func:`best_response` evaluates the curve once per
-distinct beat probability.
+in the support size and returns the profile once, with its round count;
+:func:`best_response` evaluates the curve once per distinct beat
+probability.
 
 Participation profiles here are masks over the support of an
 :class:`~contest_forge.distributions.EmpiricalTypes`; the distinct-q
@@ -28,9 +29,10 @@ each distinct contest once; winner-take-all is M^1.
 Objectives of a profile on a finite support have a closed form
 (:func:`exact_objective`), which the experiments use. :func:`mc_objective`
 estimates them by simulation instead, for rules over continuous laws such as
-:class:`MedianRule` and as an independent check of the closed form; its
-estimates are bitwise reproducible for a fixed (seed, replicas, n): replicas
-are drawn and aggregated in index order from a single deterministic stream.
+:class:`MedianRule`; its estimates are bitwise reproducible for a fixed
+(seed, replicas, n): replicas are drawn and aggregated in index order from a
+single deterministic stream. Every function that takes a finite support
+refuses anything but an :class:`EmpiricalTypes` with :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -160,22 +162,14 @@ class ParticipationProfile:
 
 @dataclass(frozen=True)
 class EquilibriumBracket:
-    """The equilibrium of :func:`equilibrium`.
+    """The equilibrium of :func:`equilibrium`: its ``profile``, and its
+    ``iterations``, the rounds as :func:`equilibrium` defines them."""
 
-    The scan finds the equilibrium itself, so ``lower`` and ``upper`` are
-    both that profile and ``converged`` is always true; ``iterations`` counts
-    rounds, as :func:`equilibrium` defines them.
-    """
-
-    lower: ParticipationProfile
-    upper: ParticipationProfile
-    converged: bool
+    profile: ParticipationProfile
     iterations: int
-
-    @property
-    def profile(self) -> ParticipationProfile:
-        """The equilibrium profile."""
-        return self.upper
+    # the scan always finds the equilibrium; bench/workloads.py still reads
+    # this, and ROADMAP item 1 deletes it
+    converged = True
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,16 @@ class ObjectiveEstimate:
     seed: int
 
 
+def _check_support(types) -> None:
+    if not isinstance(types, EmpiricalTypes):
+        raise ValidationError(
+            f"{type(types).__name__} is not a finite support; "
+            "use discretize to build one from a joint law"
+        )
+
+
 def _population(contest: PrizeVector, types: EmpiricalTypes) -> int:
+    _check_support(types)
     if types.n is not None and types.n != contest.n:
         raise ValidationError(
             f"types expect population {types.n}, contest has {contest.n} ranks"
@@ -195,6 +198,7 @@ def _population(contest: PrizeVector, types: EmpiricalTypes) -> int:
 
 
 def _check_profile(types: EmpiricalTypes, profile: ParticipationProfile) -> None:
+    _check_support(types)
     if profile.size != types.support_size:
         raise ValidationError(
             f"profile size {profile.size} != support size {types.support_size}"
@@ -311,11 +315,8 @@ def equilibrium(contest: PrizeVector, types: EmpiricalTypes) -> EquilibriumBrack
             last_failure = i
     mask = np.zeros(types.support_size, dtype=bool)
     mask[order[np.array(entrants, dtype=np.intp)]] = True
-    profile = ParticipationProfile(mask)
     tail = bool(entrants) and entrants[-1] > last_failure
-    return EquilibriumBracket(
-        lower=profile, upper=profile, converged=True, iterations=failures + tail
-    )
+    return EquilibriumBracket(ParticipationProfile(mask), iterations=failures + tail)
 
 
 def _speculative_masses(

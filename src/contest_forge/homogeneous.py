@@ -55,7 +55,7 @@ from .contest import (
     make_simple_contest,
     validate_contest,
 )
-from .distributions import QualityDistribution, _is_integer, quantile
+from .distributions import QualityDistribution, _check_marginal, _is_integer, quantile
 from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
 from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
@@ -95,20 +95,13 @@ class ThresholdEquilibrium:
 
 @dataclass(frozen=True)
 class DesignResult:
-    """The optimal simple contest M^{j*}, its equilibrium and the frontier there.
-
-    ``c_star_at_p`` is M^{j*}'s expected-prize curve (V/j*) S_{j*}(p) at the
-    equilibrium rate p, and it equals the design frontier c*(p): at the
-    optimal rate every M^j has p_j <= p, so (V/j) S_j(p) <= c for every j,
-    with equality at j*. It differs from ``c_star(n, V, p)`` only by
-    rounding and that search's 1e-12 tie rule. The corner regimes report
-    V/n (every agent enters) and V (none does).
-    """
+    """The optimal simple contest M^{j*} and its equilibrium. The design
+    frontier at the equilibrium rate is the cost c itself (every M^j has
+    (V/j) S_j(p) <= c there, with equality at j*), so it is not stored."""
 
     j_star: int
     contest: PrizeVector
     equilibrium: ThresholdEquilibrium
-    c_star_at_p: float
 
 
 @dataclass(frozen=True)
@@ -188,6 +181,7 @@ def equilibrium_threshold(
     contest: PrizeVector, qd: QualityDistribution, c: float
 ) -> ThresholdEquilibrium:
     """Threshold form of the equilibrium: theta = F^{-1}(1 - p), lambda = n*p."""
+    _check_marginal(qd)
     p, flag = participation_rate(contest, c)
     theta = quantile(qd, 1.0 - p)
     return ThresholdEquilibrium(theta=theta, p=p, lam=contest.n * p, saturated=flag)
@@ -254,23 +248,25 @@ def optimal_contest(
     j* ~ vc - sqrt((1 - vc/n) vc / ln vc), vc = V/c, when that range is
     wider than 65; the answer is the same from any start. n above 10^6, the
     largest simple contest ``make_simple_contest`` builds, raises
-    :class:`PopulationTooLarge` before any search.
+    :class:`PopulationTooLarge` before any search, and a ``qd`` that is not
+    a quality marginal raises :class:`ValidationError`.
     """
     _check_scalars(n=n, budget=budget, c=c)
     _check_ranks(n)
+    _check_marginal(qd)
     V = float(budget)
     if c <= V / n:
         contest = make_simple_contest(n, V, n)
         eq = ThresholdEquilibrium(
             theta=quantile(qd, 0.0), p=1.0, lam=float(n), saturated=FULL_PARTICIPATION
         )
-        return DesignResult(n, contest, eq, c_star_at_p=V / n)
+        return DesignResult(n, contest, eq)
     if c >= V:
         contest = make_simple_contest(1, V, n)
         eq = ThresholdEquilibrium(
             theta=quantile(qd, 1.0), p=0.0, lam=0.0, saturated=ZERO_PARTICIPATION
         )
-        return DesignResult(1, contest, eq, c_star_at_p=V)
+        return DesignResult(1, contest, eq)
 
     j_max = min(n, int(math.floor(V / c + 1e-12)))
     # j* ~ vc - sqrt((1 - vc/n) vc / ln vc): the Poisson limit's scale with
@@ -285,8 +281,7 @@ def optimal_contest(
     eq = ThresholdEquilibrium(
         theta=quantile(qd, 1.0 - p), p=p, lam=n * p, saturated=None
     )
-    # M^{j*} attains the frontier at its own rate, so its curve there is c*(p)
-    return DesignResult(j_star, contest, eq, c_star_at_p=expected_prize(contest, p))
+    return DesignResult(j_star, contest, eq)
 
 
 def _partitions(total: int, parts: int, cap: int):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from contest_forge.cli import main
+from contest_forge.cli import _build_parser, main
 
 RECT_DOC = {
     "kind": "rect_mixture",
@@ -136,8 +136,9 @@ class TestHeteroEq:
         assert code == 0
         doc = json.loads(out)
         assert doc["support"] == 40
-        assert doc["converged"] in (True, False)
-        assert doc["upper"]["count"] >= doc["lower"]["count"]
+        assert set(doc) == {"n", "support", "iterations", "profile", "is_sub_equilibrium"}
+        assert doc["profile"]["count"] == len(doc["profile"]["indices"])
+        assert doc["is_sub_equilibrium"] is True
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         contest = tmp_path / "contest.json"
@@ -165,12 +166,12 @@ class TestHeteroEq:
         contest = tmp_path / "contest.json"
         dist.write_text(json.dumps(RECT_DOC))
         contest.write_text(json.dumps(CONTEST_DOC))
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             ["hetero-eq", "--dist", str(dist), "--contest", str(contest),
              "--n", "6", "--format", "csv"],
         )
-        assert code == 1
+        assert code == 1 and "unrecognized arguments: --format csv" in err
 
 
 class TestApprox:
@@ -273,6 +274,7 @@ class TestInputBoundary:
             ["approx", "--dist", "INF_POINTS", "--n", "6", "--prize", "1"],
             ["hetero-eq", "--dist", "NAN_POINTS", "--contest", "CONTEST", "--n", "6"],
             ["hetero-eq", "--dist", "INF_POINTS", "--contest", "CONTEST", "--n", "6"],
+            ["design", "--n", "5", "--prize", "1", "--cost", "0.4", "--dist", "DIST"],
         ],
         ids=["approx_negative_seed", "example_obj_negative_seed",
              "hetero_eq_negative_seed", "scan_nan_n_factor", "scan_inf_scale",
@@ -284,7 +286,8 @@ class TestInputBoundary:
              "approx_population_too_large", "example_obj_population_too_large",
              "approx_quality_marginal", "hetero_eq_quality_marginal",
              "design_nan_knot", "design_inf_knot", "approx_nan_support",
-             "approx_inf_support", "hetero_eq_nan_support", "hetero_eq_inf_support"],
+             "approx_inf_support", "hetero_eq_nan_support", "hetero_eq_inf_support",
+             "design_joint_law"],
     )
     def test_rejected_with_one_line(self, capsys, tmp_path, argv):
         files = {"DIST": RECT_DOC, "CONTEST": CONTEST_DOC, "INF_DIST": RECT_INF_DOC,
@@ -350,6 +353,12 @@ class TestPlumbing:
         code, out, _ = run(capsys, ["poisson", "--cost", "0.5", "--out", str(target)])
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["j_star"] == 1
+
+    def test_format_only_where_there_is_a_choice(self):
+        subcommands = _build_parser()._subparsers._group_actions[0].choices
+        with_format = {name for name, sub in subcommands.items()
+                       if "--format" in sub._option_string_actions}
+        assert with_format == {"design", "compstat", "poisson", "scan"}
 
     def test_reruns_byte_identical(self, capsys):
         for argv in (

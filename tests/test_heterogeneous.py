@@ -335,14 +335,12 @@ class TestBestResponse:
 class TestEquilibrium:
     def test_two_point_full_participation(self):
         bracket = equilibrium(WTA2, TWO_POINT)
-        assert bracket.converged
-        assert bracket.upper == ParticipationProfile.full(2)
+        assert bracket.profile == ParticipationProfile.full(2)
 
     def test_everyone_priced_out(self):
         types = EmpiricalTypes(q=[1.0, 2.0], c=[3.0, 4.0], w=[0.5, 0.5], n=3)
         bracket = equilibrium(make_simple_contest(1, 1.0, 3), types)
-        assert bracket.converged
-        assert bracket.upper.count == 0
+        assert bracket.profile.count == 0
 
     def test_fixed_point_when_converged(self):
         rng = np.random.default_rng(42)
@@ -352,8 +350,7 @@ class TestEquilibrium:
             types = random_types(rng, size, n)
             contest = make_simple_contest(int(rng.integers(1, n + 1)), 1.0, n)
             bracket = equilibrium(contest, types)
-            if bracket.converged:
-                assert best_response(contest, types, bracket.upper) == bracket.upper
+            assert best_response(contest, types, bracket.profile) == bracket.profile
 
     def test_bracket_contains_all_fixed_points(self):
         rng = np.random.default_rng(5)
@@ -369,8 +366,7 @@ class TestEquilibrium:
                 )
                 profile = ParticipationProfile(mask)
                 if best_response(contest, types, profile) == profile:
-                    assert bracket.lower.subset_of(profile)
-                    assert profile.subset_of(bracket.upper)
+                    assert profile == bracket.profile
 
     def test_homogeneous_cost_reduces_to_threshold(self):
         """With equal costs the empirical equilibrium is a quality cutoff
@@ -381,9 +377,7 @@ class TestEquilibrium:
         q = np.sort(rng.uniform(0.0, 1.0, size=m))
         types = EmpiricalTypes(q=q, c=np.full(m, c), w=np.full(m, 1.0 / m), n=n)
         contest = make_simple_contest(2, 1.0, n)
-        bracket = equilibrium(contest, types)
-        assert bracket.converged
-        mask = bracket.upper.mask
+        mask = equilibrium(contest, types).profile.mask
         # top set in quality
         assert np.all(mask[np.argsort(q)][: m - mask.sum()] == False)  # noqa: E712
         p_star, flag = participation_rate(contest, c)
@@ -402,7 +396,6 @@ class TestEquilibriumSweep:
         assert lower.same(upper)
         np.testing.assert_array_equal(eq.profile.mask, upper.mask)
         assert best_response(contest, types, eq.profile).same(eq.profile)
-        assert eq.converged and eq.lower.same(eq.upper)
         assert 1 <= eq.iterations <= types.support_size + 1
         return eq
 
@@ -609,7 +602,7 @@ class TestSweepWork:
 class TestIsSubEquilibrium:
     def test_equilibrium_passes(self):
         bracket = equilibrium(WTA2, TWO_POINT)
-        assert is_sub_equilibrium(WTA2, TWO_POINT, bracket.upper)
+        assert is_sub_equilibrium(WTA2, TWO_POINT, bracket.profile)
 
     def test_subsets_of_equilibrium_pass(self):
         rng = np.random.default_rng(42)
@@ -618,7 +611,7 @@ class TestIsSubEquilibrium:
             n = int(rng.integers(2, 8))
             types = random_types(rng, size, n)
             contest = make_simple_contest(int(rng.integers(1, n + 1)), 1.0, n)
-            eq = equilibrium(contest, types).upper
+            eq = equilibrium(contest, types).profile
             sub = ParticipationProfile(eq.mask & (rng.random(size) < 0.6))
             assert is_sub_equilibrium(contest, types, sub)
 
@@ -696,7 +689,7 @@ class TestFosd:
 
     def test_reflexive(self):
         bracket = equilibrium(WTA2, TWO_POINT)
-        assert fosd_check(TWO_POINT, bracket.upper, bracket.upper, WTA2)
+        assert fosd_check(TWO_POINT, bracket.profile, bracket.profile, WTA2)
 
     def test_random_ir_subsets_dominated(self):
         rng = np.random.default_rng(42)
@@ -705,9 +698,39 @@ class TestFosd:
             n = int(rng.integers(2, 8))
             types = random_types(rng, size, n)
             contest = make_simple_contest(int(rng.integers(1, n + 1)), 1.0, n)
-            eq = equilibrium(contest, types).upper
+            eq = equilibrium(contest, types).profile
             sub = ParticipationProfile(eq.mask & (rng.random(size) < 0.6))
             assert fosd_check(types, eq, sub, contest)
+
+    def test_lemma_on_every_sub_equilibrium_of_equal_weights(self):
+        """All 2^m profiles of small equal-weight supports, kept where
+        is_sub_equilibrium passes: the equilibrium dominates each, in one
+        draw's output law and in the exact expected maximum of n draws,
+        including sub-equilibria that hold points the equilibrium leaves out.
+        Simple and general contests alternate."""
+        rng = np.random.default_rng(1)
+        kept = outside = 0
+        for k in range(120):
+            m, n = int(rng.integers(2, 11)), int(rng.integers(2, 8))
+            q = rng.uniform(0.0, 1.0, size=m) + np.arange(m) * 1e-9
+            c = rng.uniform(0.01, 1.0, size=m)
+            types = EmpiricalTypes(q=q, c=c, w=np.full(m, 1.0 / m), n=n)
+            if k % 2:
+                contest = random_general_contest(rng, n)
+            else:
+                contest = make_simple_contest(int(rng.integers(1, n + 1)), 1.0, n)
+            eq = equilibrium(contest, types).profile
+            max_eq = exact_objective(types, eq, n, "max")
+            for mask in (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1:
+                sub = ParticipationProfile(mask)
+                if not is_sub_equilibrium(contest, types, sub):
+                    continue
+                kept += 1
+                outside += not sub.subset_of(eq)
+                assert fosd_check(types, eq, sub, contest)
+                assert exact_objective(types, sub, n, "max") <= max_eq
+        # 2,397 sub-equilibria, 940 of them not subsets of the equilibrium
+        assert kept > 2000 and outside > 500
 
     def test_lemma_needs_equal_weights(self):
         """Under winner-take-all at n = 2 the high point (q = 2, c = 0.5)
@@ -728,7 +751,7 @@ class TestFosd:
 
     def test_gate_on_non_sub_equilibrium(self):
         types = EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 5.0], w=[0.5, 0.5], n=2)
-        eq = equilibrium(WTA2, types).upper
+        eq = equilibrium(WTA2, types).profile
         bad = ParticipationProfile(np.array([True, True]))
         with pytest.raises(ProfileNotSubEquilibrium):
             fosd_check(types, eq, bad, WTA2)

@@ -465,11 +465,11 @@ class TestOptimalContest:
             if res.equilibrium.saturated is None:
                 resid = abs(expected_prize(res.contest, res.equilibrium.p) - c)
                 assert resid <= 1e-9 * max(1.0, c)
-                # at the optimum the frontier is attained: by the reported
-                # value, which is M^{j*}'s curve, and by the frontier search
-                np.testing.assert_allclose(res.c_star_at_p, c, rtol=1e-8)
+                # at the optimum the frontier is attained: by M^{j*}'s curve
+                # and by the frontier search
+                attained = expected_prize(res.contest, res.equilibrium.p)
+                np.testing.assert_allclose(attained, c, rtol=1e-8)
                 np.testing.assert_allclose(c_star(n, 1.0, res.equilibrium.p), c, rtol=1e-8)
-                assert res.c_star_at_p == expected_prize(res.contest, res.equilibrium.p)
 
     def test_reported_frontier_matches_the_search(self):
         # M^{j*} attains the frontier at its own rate, so its curve there
@@ -482,7 +482,8 @@ class TestOptimalContest:
             res = optimal_contest(n, budget, c, UNIFORM)
             if res.equilibrium.saturated is None:
                 searched = c_star(n, budget, res.equilibrium.p)
-                assert abs(res.c_star_at_p - searched) <= 1e-13 * searched, (n, budget, c)
+                attained = expected_prize(res.contest, res.equilibrium.p)
+                assert abs(attained - searched) <= 1e-13 * searched, (n, budget, c)
 
     def test_never_searches_the_frontier(self, monkeypatch):
         def forbidden(*args):
@@ -491,14 +492,6 @@ class TestOptimalContest:
         monkeypatch.setattr(homogeneous, "c_star", forbidden)
         for n, c in ((5, 0.19), (5, 0.4), (40, 0.05), (40, 1.5), (3000, 0.002)):
             optimal_contest(n, 1.0, c, UNIFORM)
-
-    def test_corner_regimes_report_the_frontier(self):
-        full = optimal_contest(8, 2.0, 0.25, UNIFORM)
-        assert full.equilibrium.saturated == FULL_PARTICIPATION
-        assert full.c_star_at_p == 2.0 / 8
-        empty = optimal_contest(8, 2.0, 2.0, UNIFORM)
-        assert empty.equilibrium.saturated == ZERO_PARTICIPATION
-        assert empty.c_star_at_p == 2.0
 
     def test_prize_count_weakly_decreasing_in_cost(self):
         for n in (4, 9, 30):

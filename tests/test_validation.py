@@ -3,28 +3,43 @@ ValueError or a silent answer."""
 
 import math
 
+import numpy as np
 import pytest
 
-from contest_forge.compstat import bound_audit, finite_to_limit_convergence, wta_optimal
-from contest_forge.contest import expected_prize, expected_prize_curve, make_simple_contest
+from contest_forge.compstat import (
+    bound_audit,
+    finite_to_limit_convergence,
+    poisson_value,
+    wta_optimal,
+)
+from contest_forge.contest import (
+    SimpleLottery,
+    expected_prize,
+    expected_prize_curve,
+    make_simple_contest,
+    w_inverse,
+)
 from contest_forge.distributions import (
     EmpiricalTypes,
     RectComponent,
     RectMixture,
     low_cost_max_cdf,
     median_max_quality,
+    sample_joint,
 )
 from contest_forge.errors import ValidationError
 from contest_forge.heterogeneous import (
     ParticipationProfile,
     beat_probability,
+    best_response,
+    equilibrium,
     exact_objective,
     expected_payoff,
     mc_objective,
     median_subequilibrium,
     output_cdf,
 )
-from contest_forge.homogeneous import c_star, feasible
+from contest_forge.homogeneous import c_star, equilibrium_threshold, feasible, optimal_contest
 
 CONTEST = make_simple_contest(2, 1.0, 5)
 TYPES = EmpiricalTypes(q=[2.0, 1.0], c=[0.3, 0.3], w=[0.5, 0.5], n=5)
@@ -88,4 +103,46 @@ def everyone(q, c):
 )
 def test_scalar_gaps_raise_validation_error(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: poisson_value(1.0, 0, 1.0), id="poisson_value-zero-j"),
+        pytest.param(lambda: poisson_value(1.0, 2.5, 1.0), id="poisson_value-fractional-j"),
+        pytest.param(lambda: poisson_value(1.0, 2, -1.0), id="poisson_value-negative-lam"),
+        pytest.param(lambda: poisson_value(1.0, 2, math.nan), id="poisson_value-nan-lam"),
+        pytest.param(lambda: bound_audit(10**30, 0.3, 2), id="bound_audit-n-beyond-2^53"),
+        pytest.param(lambda: bound_audit(10, 0.3, 2.5), id="bound_audit-fractional-j"),
+        pytest.param(lambda: bound_audit(10, 0.3, True), id="bound_audit-bool-j"),
+        pytest.param(lambda: w_inverse([[1, 2], [3, 4]]), id="w_inverse-2d-weights"),
+        pytest.param(lambda: SimpleLottery((1.5, -0.5), 1.0), id="lottery-negative"),
+        pytest.param(lambda: SimpleLottery((math.nan,), 1.0), id="lottery-nan"),
+        pytest.param(lambda: sample_joint(JD, np.random.default_rng(0), -1),
+                     id="sample_joint-negative-size"),
+    ],
+)
+def test_reproduced_gaps_raise_validation_error(call):
+    """Each of these once ended in a raw traceback or a silent answer."""
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: optimal_contest(5, 1.0, 0.4, JD), "quality marginal",
+                     id="optimal_contest-joint-law"),
+        pytest.param(lambda: equilibrium_threshold(CONTEST, JD, 0.3), "quality marginal",
+                     id="equilibrium_threshold-joint-law"),
+        pytest.param(lambda: equilibrium(CONTEST, JD), "discretize", id="equilibrium-joint-law"),
+        pytest.param(lambda: best_response(CONTEST, JD, FULL), "discretize",
+                     id="best_response-joint-law"),
+        pytest.param(lambda: exact_objective(JD, FULL, 5, "max"), "discretize",
+                     id="exact_objective-joint-law"),
+    ],
+)
+def test_law_of_the_wrong_kind_raises_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
         call()
