@@ -11,27 +11,31 @@ which has a single sign change by Descartes' rule. With p = r/(1+r),
 (1-p)^(n-1) Q_j(r) = (j-1) pmf(j-1) - S_{j-1}(p) for B(n-1, p), so
 ``breakpoints`` finds every p_j at once as the root of
 g(p) = log((j-1) pmf(j-1)) - log S_{j-1}(p) on (0, 1), by a safeguarded
-Newton iteration over all j together. The expanded polynomial overflows a
-float near n = 190; ``q_polynomial`` stays as the test reference. In the
-scaling limit (n -> infinity, lambda = n p fixed) binomial curves become
-Poisson ones and the design problem has a clean limit object: the rate of
-M^j inverts the Poisson curve in closed form, and the best j is found by the
-first-descent search of the finite design, started at the measured
-j* ~ V/c - sqrt((V/c) / ln(V/c)). The bound_audit routine
-numerically spot-checks the inequalities the asymptotic analysis leans on,
-with the pmf and tail taken from the same binomial kernel.
+Newton iteration over all j together. The roots and S_j(p_j) depend on n
+alone and c_j = (V/j) S_j(p_j) scales with V, so that budget-free chain is
+solved once per n <= 1024 and kept in a memo of at most 128 chains (3.1 MB);
+a repeat table at a kept n is O(n) array work and no kernel read. The
+expanded polynomial overflows a float near n = 190; ``q_polynomial`` stays
+as the test reference. In the scaling limit (n -> infinity, lambda = n p
+fixed) binomial curves become Poisson ones and the design problem has a
+clean limit object: the rate of M^j inverts the Poisson curve in closed
+form, and the best j is found by the first-descent search of the finite
+design, started at the measured j* ~ V/c - sqrt((V/c) / ln(V/c)). The
+bound_audit routine numerically spot-checks the inequalities the asymptotic
+analysis leans on, with the pmf and tail taken from the same binomial
+kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .contest import make_simple_contest
-from .distributions import Uniform, _is_integer
+from .distributions import Uniform, _is_integer, _is_real
 from .errors import (
     IterationLimit,
     OrderingViolation,
@@ -76,6 +80,9 @@ MAX_BREAKPOINT_POPULATION = 500_000
 _ROOT_STEPS = 64
 # relative Newton step under which a breakpoint root counts as converged
 _ROOT_RTOL = 1e-12
+# largest n whose breakpoint chain is kept once solved; 128 chains of at most
+# 1023 rows of 24 B (j, p_j, S_j(p_j)) hold at most 3.1 MB
+_MEMO_POPULATION = 1024
 
 # Audit constants for the tail band check; the underlying analysis only pins
 # the orders, so these are deliberately generous.
@@ -169,8 +176,15 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     smallest gap, c_{n-1} - c_n, shrinks like 1/n^2, from 3.7e-12 V at
     n = 500000 to below the check at n = 10^6, and a table of 500000 rows
     takes a few seconds to solve.
+
+    The chain (j, p_j, S_j(p_j)) does not depend on the budget: for
+    n <= 1024 it is solved once and kept (``_breakpoint_chain``, at most 128
+    chains, 3.1 MB), and a table at a kept n costs the O(n) array work of
+    c_j, the entries and the ordering check, with no kernel read. Larger n
+    solve on every call.
     """
     _check_scalars(n=n, budget=budget)
+    n = int(n)
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     if n > MAX_BREAKPOINT_POPULATION:
@@ -178,9 +192,9 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
             f"n = {n} exceeds the largest supported breakpoint table "
             f"{MAX_BREAKPOINT_POPULATION}"
         )
-    js = np.arange(2, n + 1)
-    p = _breakpoint_roots(n, js)
-    c = (budget / js) * rank_cdf(n, js, p)
+    solve = _breakpoint_chain if n <= _MEMO_POPULATION else _breakpoint_chain.__wrapped__
+    js, p, s = solve(n)
+    c = (budget / js) * s
     table = BreakpointTable(
         n=n, budget=float(budget), entries=tuple(zip(js.tolist(), p.tolist(), c.tolist()))
     )
@@ -195,6 +209,17 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
             f"breakpoints not strictly decreasing at c_{bad} -> c_{bad + 1}"
         )
     return table
+
+
+@lru_cache(maxsize=128)
+def _breakpoint_chain(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The budget-free part of ``breakpoints``: j = 2..n, p_j and S_j(p_j), read-only."""
+    js = np.arange(2, n + 1)
+    p = _breakpoint_roots(n, js)
+    s = rank_cdf(n, js, p)
+    for a in (js, p, s):
+        a.flags.writeable = False
+    return js, p, s
 
 
 def _breakpoint_roots(n: int, js: np.ndarray) -> np.ndarray:
@@ -259,7 +284,7 @@ def _breakpoint_roots(n: int, js: np.ndarray) -> np.ndarray:
 
 def classify_by_breakpoints(table: BreakpointTable, c: float) -> int:
     """The j whose interval [c_{j+1}, c_j] contains c; boundaries go to the smaller j."""
-    if not 0.0 < c < table.budget:
+    if not (_is_real(c) and 0.0 < c < table.budget):
         raise OutOfRange(f"need 0 < c < V = {table.budget}, got {c!r}")
     # the first j with c >= c_{j+1}; c_2 > ... > c_n > 0 ascend once negated,
     # and side="left" puts c = c_{j+1} at that j
@@ -297,7 +322,7 @@ def poisson_limit(budget: float, c: float) -> PoissonLimit:
     tolerance and the search stops matching a dense argmax.
     """
     _check_scalars(budget=budget)
-    if not 0.0 < c < budget:
+    if not (_is_real(c) and 0.0 < c < budget):
         raise OutOfRange(f"need 0 < c < V = {budget}, got {c!r}")
     vc = budget / c
     if not vc <= MAX_POISSON_SCALE:

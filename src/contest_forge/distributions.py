@@ -64,6 +64,16 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is one real number: a Python or numpy int or float, or a
+    0-d array of one; a bool and an array with a shape do not count."""
+    if type(x) is float:  # the common case, on the solvers' hot paths
+        return True
+    if isinstance(x, np.ndarray):
+        return x.ndim == 0 and x.dtype.kind in "iuf"
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _check_seed(seed) -> None:
     """The seed rule: an integer >= 0, so every draw is reproducible from it."""
     if not (_is_integer(seed) and seed >= 0):

@@ -55,7 +55,7 @@ from .contest import (
     make_simple_contest,
     validate_contest,
 )
-from .distributions import QualityDistribution, _check_marginal, _is_integer, quantile
+from .distributions import QualityDistribution, _check_marginal, _is_integer, _is_real, quantile
 from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
 from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
@@ -196,7 +196,9 @@ def _check_scalars(
     the kernels take n as a numpy int64 and probe ranks as floats, which
     hold every integer only up to 2^53. Past the int64 range numpy cannot
     hold n at all, and at n = 2^62 the first-descent search of ``c_star``
-    makes no progress.
+    makes no progress. A cost or budget must be one real number (see
+    ``distributions._is_real``): a bool or an array with a shape is refused
+    with the error its value would raise.
     """
     if n is not None and not (_is_integer(n) and n >= 1):
         raise OutOfRange(f"population size must be an integer >= 1, got {n!r}")
@@ -204,9 +206,9 @@ def _check_scalars(
         raise PopulationTooLarge(
             f"population size {n} exceeds the largest supported {MAX_POPULATION}"
         )
-    if c is not None and not (math.isfinite(c) and c > 0.0):
+    if c is not None and not (_is_real(c) and math.isfinite(c) and c > 0.0):
         raise InvalidCost(f"participation cost must be positive and finite, got {c!r}")
-    if budget is not None and not (math.isfinite(budget) and budget > 0.0):
+    if budget is not None and not (_is_real(budget) and math.isfinite(budget) and budget > 0.0):
         raise OutOfRange(f"budget must be positive and finite, got {budget!r}")
 
 

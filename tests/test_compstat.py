@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from contest_forge.errors import (
 )
 from contest_forge.homogeneous import optimal_contest
 from contest_forge.numerics import (
+    LogPmfKernel,
     RankKernel,
     binom_logpmf,
     bisect_decreasing,
@@ -208,6 +210,7 @@ class TestNewtonBreakpoints:
         monkeypatch.setattr(RankKernel, "of_complement", counting)
         for n in [*range(2, 201), 1000, 5000]:
             calls.clear()
+            compstat._breakpoint_chain.cache_clear()
             breakpoints(n, 1.0)
             rounds = calls[:-1]
             assert 1 <= len(rounds) <= 10, (n, len(rounds))
@@ -220,6 +223,7 @@ class TestNewtonBreakpoints:
         js = np.arange(2, n + 1)
         for steps in (3, 6):
             monkeypatch.setattr(compstat, "_ROOT_STEPS", steps)
+            compstat._breakpoint_chain.cache_clear()
             with pytest.raises(IterationLimit) as info:
                 breakpoints(n, 1.0)
             match = re.fullmatch(
@@ -270,6 +274,95 @@ class TestNewtonBreakpoints:
     def test_population_limit(self):
         with pytest.raises(PopulationTooLarge):
             breakpoints(MAX_BREAKPOINT_POPULATION + 1, 1.0)
+
+
+class TestBreakpointMemo:
+    """The budget-free chain (j, p_j, S_j(p_j)) is solved once per n <= 1024."""
+
+    def test_hit_makes_no_kernel_read(self, monkeypatch):
+        reads = []
+        for kernel, name in ((RankKernel, "of_complement"), (LogPmfKernel, "__call__")):
+            def spy(self, x, _read=getattr(kernel, name)):
+                reads.append(np.size(x))
+                return _read(self, x)
+
+            monkeypatch.setattr(kernel, name, spy)
+        breakpoints(60, 1.0)
+        assert reads
+        reads.clear()
+        breakpoints(60, 2.5)
+        assert reads == []
+
+    @pytest.mark.parametrize("n", [2, 5, 60, 1024])
+    def test_hit_equals_a_fresh_solve_bit_for_bit(self, n):
+        breakpoints(n, 1.0)
+        js = np.arange(2, n + 1)
+        p = compstat._breakpoint_roots(n, js)
+        s = rank_cdf(n, js, p)
+        for budget in (1.0, 2.5, 1e-3, 1e300):
+            table = breakpoints(n, budget)
+            assert compstat._breakpoint_chain.cache_info().misses == 1
+            c = (budget / js) * s
+            assert [(j, x.hex(), y.hex()) for j, x, y in table.entries] == [
+                (j, x.hex(), y.hex()) for j, x, y in zip(js.tolist(), p.tolist(), c.tolist())
+            ], budget
+
+    def test_beyond_the_memo_solves_every_call(self, monkeypatch):
+        solved = []
+        roots = compstat._breakpoint_roots
+
+        def counting(n, js):
+            solved.append(n)
+            return roots(n, js)
+
+        monkeypatch.setattr(compstat, "_breakpoint_roots", counting)
+        for budget in (1.0, 2.5):
+            breakpoints(1025, budget)
+            breakpoints(1024, budget)
+        assert solved == [1025, 1024, 1025]
+
+    def test_bounded_and_read_only(self):
+        for n in range(2, 142):
+            breakpoints(n, 1.0)
+        info = compstat._breakpoint_chain.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (128, 128, 140)
+        chain = compstat._breakpoint_chain(141)
+        assert compstat._breakpoint_chain.cache_info().hits == 1
+        for a in chain:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # the stated bound: 128 chains of 1023 rows of 24 B at most
+        rows = compstat._MEMO_POPULATION - 1
+        assert sum(a.nbytes for a in compstat._breakpoint_chain(1024)) == rows * 24
+        assert 128 * rows * 24 <= 3.2e6
+
+    def test_iteration_limit_leaves_nothing(self, monkeypatch):
+        monkeypatch.setattr(compstat, "_ROOT_STEPS", 3)
+        with pytest.raises(IterationLimit):
+            breakpoints(1000, 1.0)
+        assert compstat._breakpoint_chain.cache_info().currsize == 0
+
+    def test_numpy_integers_share_one_entry(self):
+        a = breakpoints(np.int64(60), 1.0)
+        b = breakpoints(60, 1.0)
+        info = compstat._breakpoint_chain.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert a.entries == b.entries and type(a.n) is int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = breakpoints(np.int8(127), 1.0)
+        assert c.n == 127 and c.entries == breakpoints(127, 1.0).entries
+
+    def test_optimal_contest_reads_no_chain(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(compstat, "_breakpoint_roots", lambda n, js: solved.append(n))
+        for n in (10, 60, 1000):
+            for c in (0.05, 0.3):
+                optimal_contest(n, 1.0, c, UNIFORM)
+        assert solved == []
+        info = compstat._breakpoint_chain.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
 class TestClassification:

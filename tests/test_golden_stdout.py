@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from contest_forge import compstat
 from contest_forge.cli import main
 from test_cli import CONTEST_DOC, RECT_DOC
 
@@ -47,3 +48,12 @@ def cli_stdout(capsys, tmp_path, argv):
 def test_stdout_matches_capture(capsys, tmp_path, name):
     want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert cli_stdout(capsys, tmp_path, COMMANDS[name]) == want
+
+
+@pytest.mark.parametrize("name", ["compstat", "compstat_n300_json"])
+def test_stdout_from_a_kept_breakpoint_chain_matches_capture(capsys, tmp_path, name):
+    """The second run reads the chain the first one solved."""
+    want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert cli_stdout(capsys, tmp_path, COMMANDS[name]) == want
+    assert cli_stdout(capsys, tmp_path, COMMANDS[name]) == want
+    assert compstat._breakpoint_chain.cache_info().hits == 1

@@ -8,7 +8,10 @@ import pytest
 
 from contest_forge.compstat import (
     bound_audit,
+    breakpoints,
+    classify_by_breakpoints,
     finite_to_limit_convergence,
+    poisson_limit,
     poisson_value,
     wta_optimal,
 )
@@ -23,6 +26,7 @@ from contest_forge.distributions import (
     EmpiricalTypes,
     RectComponent,
     RectMixture,
+    Uniform,
     low_cost_max_cdf,
     median_max_quality,
     sample_joint,
@@ -39,12 +43,19 @@ from contest_forge.heterogeneous import (
     median_subequilibrium,
     output_cdf,
 )
-from contest_forge.homogeneous import c_star, equilibrium_threshold, feasible, optimal_contest
+from contest_forge.homogeneous import (
+    c_star,
+    equilibrium_threshold,
+    feasible,
+    optimal_contest,
+    participation_rate,
+)
 
 CONTEST = make_simple_contest(2, 1.0, 5)
 TYPES = EmpiricalTypes(q=[2.0, 1.0], c=[0.3, 0.3], w=[0.5, 0.5], n=5)
 FULL = ParticipationProfile.full(2)
 JD = RectMixture((RectComponent(0.0, 1.0, 0.0, 0.4, 1.0),))
+UNIFORM = Uniform(0.0, 1.0)
 
 
 def everyone(q, c):
@@ -146,3 +157,36 @@ def test_reproduced_gaps_raise_validation_error(call):
 def test_law_of_the_wrong_kind_raises_validation_error(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: breakpoints(5, np.array([1.0])), id="breakpoints-array-budget"),
+        pytest.param(lambda: optimal_contest(5, np.array([1.0]), 0.3, UNIFORM),
+                     id="optimal_contest-array-budget"),
+        pytest.param(lambda: optimal_contest(5, 1.0, np.array([0.3]), UNIFORM),
+                     id="optimal_contest-array-cost"),
+        pytest.param(lambda: participation_rate(CONTEST, np.array([0.3])),
+                     id="participation_rate-array-cost"),
+        pytest.param(lambda: classify_by_breakpoints(breakpoints(5, 1.0), np.array([0.3])),
+                     id="classify_by_breakpoints-array-cost"),
+        pytest.param(lambda: poisson_limit(2.0, np.array([0.5])), id="poisson_limit-array-cost"),
+        pytest.param(lambda: breakpoints(5, True), id="breakpoints-bool-budget"),
+        pytest.param(lambda: poisson_limit(True, 0.5), id="poisson_limit-bool-budget"),
+        pytest.param(lambda: wta_optimal(5, 1.0, True), id="wta_optimal-bool-cost"),
+    ],
+)
+def test_bools_and_arrays_at_the_scalar_boundary(call):
+    """A one-element array once ended in a raw TypeError; a bool answered as 1.0."""
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_numpy_scalars_and_0d_arrays_stay_accepted():
+    assert breakpoints(5, np.array(1.0)).entries == breakpoints(5, 1.0).entries
+    design = optimal_contest(5, np.float64(1.0), np.array(0.3), UNIFORM)
+    assert design.j_star == optimal_contest(5, 1.0, 0.3, UNIFORM).j_star
+    table = breakpoints(5, 1.0)
+    assert classify_by_breakpoints(table, np.float32(0.3)) == classify_by_breakpoints(table, 0.3)
+    assert poisson_limit(np.float64(2.0), np.array(0.5)) == poisson_limit(2.0, 0.5)
