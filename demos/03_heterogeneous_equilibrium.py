@@ -17,7 +17,7 @@ from contest_forge import (
     best_response,
     equilibrium,
     exact_objective,
-    expected_payoff,
+    expected_prize_curve,
     fosd_check,
     make_simple_contest,
     median_subequilibrium,
@@ -45,9 +45,11 @@ print(f"equilibrium: {eq.count} of {types.support_size} support points enter, "
 assert best_response(contest, types, eq).same(eq)
 
 # Every participant clears her cost in expectation; print the tightest one.
-payoffs = [expected_payoff(contest, types, eq, i)
-           for i in np.flatnonzero(eq.mask)]
-print(f"worst participant payoff: {min(payoffs):+.5f} (individual rationality)")
+# An entrant is beaten by the entering mass of higher quality.
+entrants = np.flatnonzero(eq.mask)
+beaten = [types.w[eq.mask & (types.q > types.q[i])].sum() for i in entrants]
+payoffs = expected_prize_curve(contest, beaten) - types.c[entrants]
+print(f"worst participant payoff: {payoffs.min():+.5f} (individual rationality)")
 
 # Any individually-rational subset of the equilibrium produces first-order
 # stochastically dominated output: per draw, the equilibrium's output CDF

@@ -37,7 +37,7 @@ for row in report["contests"]:
 # top-heavy enough to recruit a star forfeits the crowd. Scaled-down
 # configuration so this runs in seconds; the headline instance uses
 # V = 400, n = 4000.
-rep = example_obj(200.0, 500, 0.01, seed=0, replicas=100, m=800)
+rep = example_obj(200.0, 500, 0.01, seed=0, m=800)
 print(f"\nseparation instance (V = {rep['budget']:.0f}, n = {rep['n']}):")
 print(f"  WTA expected max  = {rep['wta_max']['mean']:.2f}")
 print(f"  M^{rep['spread_j']} expected sum = {rep['spread_sum']['mean']:.1f}"

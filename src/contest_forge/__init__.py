@@ -4,8 +4,14 @@ Agents draw a (quality, cost) type and choose only whether to participate;
 prizes go to the highest-quality participants. The package computes the
 threshold equilibrium and the optimal prize split for homogeneous costs,
 breakpoint comparative statics and the Poisson large-population limit, and
-the equilibrium plus exact and Monte Carlo objective experiments for jointly
-distributed types.
+the equilibrium and objective experiments for jointly distributed types.
+The experiments are exact on a finite support; Monte Carlo is used only for
+rules over continuous laws (``mc_objective``).
+
+Every error is a ``ContestForgeError``: a ``ValidationError`` for bad input
+(its subclass ``PopulationTooLarge`` for a documented size limit) or a
+``NumericalError`` for a solver breakdown (its subclass ``IterationLimit``
+for a solver that ran out of steps).
 """
 
 from .compstat import (
@@ -27,7 +33,6 @@ from .contest import (
     SimpleLottery,
     WTransform,
     contest_from_dict,
-    contest_to_dict,
     expected_prize,
     expected_prize_curve,
     lottery_decomposition,
@@ -45,7 +50,6 @@ from .distributions import (
     cdf,
     discretize,
     distribution_from_dict,
-    distribution_to_dict,
     low_cost_max_cdf,
     median_max_quality,
     quantile,
@@ -60,12 +64,10 @@ from .heterogeneous import (
     EquilibriumBracket,
     ObjectiveEstimate,
     ParticipationProfile,
-    beat_probability,
     best_response,
     equilibrium,
     exact_objective,
     example_obj,
-    expected_payoff,
     fosd_check,
     highcost_subequilibrium,
     is_sub_equilibrium,
@@ -81,9 +83,7 @@ from .homogeneous import (
     brute_force_design_check,
     c_star,
     equilibrium_threshold,
-    feasible,
     optimal_contest,
-    optimal_prize_count,
     participation_rate,
 )
 
@@ -104,7 +104,6 @@ __all__ = [
     "w_transform",
     "w_inverse",
     "lottery_decomposition",
-    "contest_to_dict",
     "contest_from_dict",
     "Uniform",
     "PiecewiseLinearCDF",
@@ -117,15 +116,12 @@ __all__ = [
     "low_cost_max_cdf",
     "median_max_quality",
     "discretize",
-    "distribution_to_dict",
     "distribution_from_dict",
     "ThresholdEquilibrium",
     "DesignResult",
     "participation_rate",
     "equilibrium_threshold",
-    "optimal_prize_count",
     "c_star",
-    "feasible",
     "optimal_contest",
     "brute_force_design_check",
     "BreakpointTable",
@@ -143,8 +139,6 @@ __all__ = [
     "ParticipationProfile",
     "EquilibriumBracket",
     "ObjectiveEstimate",
-    "beat_probability",
-    "expected_payoff",
     "best_response",
     "equilibrium",
     "is_sub_equilibrium",

@@ -229,10 +229,7 @@ def cmd_approx(args) -> str:
 
 
 def cmd_example_obj(args) -> str:
-    report = example_obj(
-        args.prize, args.n, args.eps, args.seed, replicas=args.replicas
-    )
-    return _json_text(report)
+    return _json_text(example_obj(args.prize, args.n, args.eps, args.seed))
 
 
 def _add_output_flags(sub, default_format: str | None = None) -> None:
@@ -310,10 +307,6 @@ def _build_parser() -> _Parser:
     example.add_argument("--n", type=int, default=4000)
     example.add_argument("--eps", type=float, default=0.01)
     example.add_argument("--seed", type=int, default=0)
-    example.add_argument(
-        "--replicas", type=int, default=200,
-        help="ignored; objectives are exact (kept for compatibility)",
-    )
     _add_output_flags(example)
     example.set_defaults(run=cmd_example_obj)
 

@@ -36,13 +36,7 @@ import numpy as np
 
 from .contest import make_simple_contest
 from .distributions import Uniform, _is_integer, _is_real
-from .errors import (
-    IterationLimit,
-    OrderingViolation,
-    OutOfRange,
-    PopulationTooLarge,
-    ValidationError,
-)
+from .errors import IterationLimit, NumericalError, PopulationTooLarge, ValidationError
 from .homogeneous import MAX_POPULATION, _check_scalars, optimal_contest, participation_rate
 from .numerics import (
     LogPmfKernel,
@@ -170,7 +164,7 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     p_j is where (j-1) Pr[B(n-1, p) = j-1] = Pr[B(n-1, p) <= j-2], the root
     of Q_j mapped to p; all n-1 roots are solved together by
     ``_breakpoint_roots``. c_j = (V/j) S_j(p_j) is the common value of the
-    M^j and M^{j-1} curves there. Raises OrderingViolation if the resulting
+    M^j and M^{j-1} curves there. Raises NumericalError if the resulting
     sequence is not strictly decreasing with gaps above 1e-12 * V. n above
     MAX_BREAKPOINT_POPULATION raises PopulationTooLarge before any work: the
     smallest gap, c_{n-1} - c_n, shrinks like 1/n^2, from 3.7e-12 V at
@@ -205,7 +199,7 @@ def breakpoints(n: int, budget: float) -> BreakpointTable:
     gaps = thresholds[:-1] - thresholds[1:]
     if np.any(gaps <= 1e-12 * budget):
         bad = int(np.argmax(gaps <= 1e-12 * budget)) + 1
-        raise OrderingViolation(
+        raise NumericalError(
             f"breakpoints not strictly decreasing at c_{bad} -> c_{bad + 1}"
         )
     return table
@@ -285,7 +279,7 @@ def _breakpoint_roots(n: int, js: np.ndarray) -> np.ndarray:
 def classify_by_breakpoints(table: BreakpointTable, c: float) -> int:
     """The j whose interval [c_{j+1}, c_j] contains c; boundaries go to the smaller j."""
     if not (_is_real(c) and 0.0 < c < table.budget):
-        raise OutOfRange(f"need 0 < c < V = {table.budget}, got {c!r}")
+        raise ValidationError(f"need 0 < c < V = {table.budget}, got {c!r}")
     # the first j with c >= c_{j+1}; c_2 > ... > c_n > 0 ascend once negated,
     # and side="left" puts c = c_{j+1} at that j
     return int(np.searchsorted(table._negated_lower, -c, side="left")) + 1
@@ -302,8 +296,8 @@ def wta_optimal(n: int, budget: float, c: float) -> bool:
 def poisson_value(budget: float, j: int, lam: float) -> float:
     """Limit expected-prize curve of M^j: (V/j) * Pr[Poisson(lam) < j]."""
     _check_scalars(budget=budget)
-    if not (_is_integer(j) and j >= 1 and lam >= 0.0):  # NaN fails too
-        raise OutOfRange(f"need an integer j >= 1 and lam >= 0, got j={j!r}, lam={lam!r}")
+    if not (_is_integer(j) and j >= 1 and _is_real(lam) and lam >= 0.0):  # NaN fails too
+        raise ValidationError(f"need an integer j >= 1 and lam >= 0, got j={j!r}, lam={lam!r}")
     return (budget / j) * poisson_cdf_partial(lam, j)
 
 
@@ -323,7 +317,7 @@ def poisson_limit(budget: float, c: float) -> PoissonLimit:
     """
     _check_scalars(budget=budget)
     if not (_is_real(c) and 0.0 < c < budget):
-        raise OutOfRange(f"need 0 < c < V = {budget}, got {c!r}")
+        raise ValidationError(f"need 0 < c < V = {budget}, got {c!r}")
     vc = budget / c
     if not vc <= MAX_POISSON_SCALE:
         raise PopulationTooLarge(
@@ -380,7 +374,7 @@ def asymptotic_scan(c: float, vc_list, n_factor: float = 3.0) -> tuple[ScanRow, 
     for vc in vc_list:
         vc = float(vc)
         if not (math.isfinite(vc) and vc >= 20.0):
-            raise OutOfRange(f"scan scales must be finite and >= 20, got {vc}")
+            raise ValidationError(f"scan scales must be finite and >= 20, got {vc}")
         V = c * vc
         scaled = n_factor * vc
         if not scaled <= MAX_POPULATION:  # an overflow to inf fails here too

@@ -36,18 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import _is_integer
-from .errors import (
-    BudgetExceeded,
-    BudgetNotExhausted,
-    IndexOutOfRange,
-    NegativePrize,
-    NegativeWeight,
-    NotMonotone,
-    OutOfRange,
-    PopulationTooLarge,
-    ValidationError,
-)
+from .distributions import _is_integer, _is_real
+from .errors import PopulationTooLarge, ValidationError
 from .numerics import RankKernel
 
 __all__ = [
@@ -61,7 +51,6 @@ __all__ = [
     "w_transform",
     "w_inverse",
     "lottery_decomposition",
-    "contest_to_dict",
     "contest_from_dict",
 ]
 
@@ -92,17 +81,17 @@ class PrizeVector:
 
     def __post_init__(self):
         if not (math.isfinite(self.budget) and self.budget > 0.0):
-            raise BudgetExceeded(f"budget must be positive and finite, got {self.budget!r}")
+            raise ValidationError(f"budget must be positive and finite, got {self.budget!r}")
         ranks, weights = tuple(self.ranks), tuple(self.weights)
         if not (_is_integer(self.n) and self.n >= 1 and len(ranks) == len(weights)
                 and all(map(_is_integer, ranks)) and all(map(
                     operator.lt, (0,) + ranks, ranks + (min(self.n, _MAX_INDEX) + 1,)))):
-            raise IndexOutOfRange(f"need integers n >= 1 and ranks rising in 1..n; n={self.n!r}")
+            raise ValidationError(f"need integers n >= 1 and ranks rising in 1..n; n={self.n!r}")
         # min alone misses a NaN that is not first, but fsum then returns NaN
         if not (min(weights, default=1.0) > 0.0 and math.isfinite(total := math.fsum(weights))):
-            raise NegativeWeight("mixture weights must be finite and positive")
+            raise ValidationError("mixture weights must be finite and positive")
         if total > self.budget * (1.0 + _BUDGET_SLACK):
-            raise BudgetExceeded(f"prizes sum to {total}, exceeding budget {self.budget}")
+            raise ValidationError(f"prizes sum to {total}, exceeding budget {self.budget}")
         self._store(ranks, weights, np.array(ranks, dtype=np.intp))
 
     @classmethod
@@ -165,31 +154,31 @@ class SimpleLottery:
 
     def __post_init__(self):
         if not all(0.0 <= x < math.inf for x in self.probabilities):  # NaN fails too
-            raise OutOfRange("lottery probabilities must be finite and nonnegative")
+            raise ValidationError("lottery probabilities must be finite and nonnegative")
         total = math.fsum(self.probabilities)
         if abs(total - 1.0) > 1e-12:
-            raise BudgetNotExhausted(f"lottery probabilities sum to {total}, expected 1")
+            raise ValidationError(f"lottery probabilities sum to {total}, expected 1")
 
 
 def validate_contest(values, budget: float) -> PrizeVector:
     """The contest paying ``values``, which it keeps as its ``values``.
 
     One pass over the prizes collects the positive weights
-    w_j = j * (v_j - v_{j+1}) and raises :class:`NegativePrize` or
-    :class:`NotMonotone` (with the 1-based rank) at the first bad prize, with
-    absolute slack 1e-12. The budget is then checked as :class:`PrizeVector`
-    checks it, with the same errors, without repeating the rank checks.
+    w_j = j * (v_j - v_{j+1}) and raises :class:`ValidationError` at the
+    first negative or rising prize, naming its 1-based rank, with absolute
+    slack 1e-12. The budget is then checked as :class:`PrizeVector` checks
+    it, with the same messages, without repeating the rank checks.
     """
     values = tuple(map(float, values))
     ranks, weights = [], []
     for j, (v, below) in enumerate(zip(values, values[1:] + (0.0,)), start=1):
         if not -_SLACK <= v < math.inf:
-            raise NegativePrize(f"prize at rank {j} is negative or not finite: {v!r}")
+            raise ValidationError(f"prize at rank {j} is negative or not finite: {v!r}")
         if v > below:
             ranks.append(j)
             weights.append(j * (v - below))
         elif v + _SLACK < below < math.inf:  # an infinite v_{j+1} fails its sign check
-            raise NotMonotone(j + 1)
+            raise ValidationError(f"prize values not non-increasing at index {j + 1}")
     budget = float(budget)
     ranks, weights = tuple(ranks), tuple(weights)
     # the ranks rise in 1..n and the weights are positive by construction
@@ -226,6 +215,15 @@ def _check_ranks(n: int) -> None:
         raise PopulationTooLarge(f"n = {n} exceeds the largest supported contest {_MAX_RANKS}")
 
 
+def _check_contest(contest) -> None:
+    """Refuse anything but a :class:`PrizeVector` with :class:`ValidationError`."""
+    if not isinstance(contest, PrizeVector):
+        raise ValidationError(
+            f"{type(contest).__name__} is not a contest; "
+            "use validate_contest(values, budget) or make_simple_contest(j, budget, n)"
+        )
+
+
 def _prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
     """c(p) at each point of ``ps``; a point's terms are one contiguous row, summed alone.
 
@@ -247,23 +245,29 @@ def expected_prize(contest: PrizeVector, p: float) -> float:
     """Expected prize at independent-loss probability p (the curve c(p)).
 
     The one row of terms that ``expected_prize_curve`` sums for p, with the
-    same bits, without its broadcasting.
+    same bits, without its broadcasting. ``p`` is one real number (see
+    ``distributions._is_real``).
     """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
+    # a float p and a PrizeVector, the solvers' case, pay no function call
+    if not ((type(p) is float or _is_real(p)) and 0.0 <= p <= 1.0):
+        raise ValidationError(f"p must lie in [0, 1], got {p!r}")
+    if not isinstance(contest, PrizeVector):
+        _check_contest(contest)
     return float(np.add.reduce(contest._kernel(float(p)) * contest._mixture[1]))
 
 
 def expected_prize_curve(contest: PrizeVector, ps: np.ndarray) -> np.ndarray:
     """Vectorised c(p) over loss probabilities in [0, 1], bitwise equal to expected_prize."""
+    _check_contest(contest)
     ps = np.asarray(ps, dtype=float)
     if not ((ps >= 0.0) & (ps <= 1.0)).all():
-        raise OutOfRange("every p must lie in [0, 1]")
+        raise ValidationError("every p must lie in [0, 1]")
     return _prize_curve(contest, ps)
 
 
 def w_transform(contest: PrizeVector) -> WTransform:
     """Weights w_j = j * (v_j - v_{j+1}) with v_{n+1} = 0; nonnegative by monotonicity."""
+    _check_contest(contest)
     w = np.zeros(contest.n)
     w[contest._mixture[0] - 1] = contest.weights
     return WTransform(tuple(w.tolist()))
@@ -273,7 +277,7 @@ def w_inverse(weights, budget: float | None = None) -> PrizeVector:
     """The contest with rank-gap weights ``weights``: v_j = sum_{k>=j} w_k / k.
 
     Weights must be finite and nonnegative (slack 1e-12,
-    :class:`NegativeWeight`); those at or below zero add no term. The budget
+    :class:`ValidationError`); those at or below zero add no term. The budget
     defaults to the total of the weights, which is the sum of the prizes.
     """
     w = np.array(weights, dtype=float, ndmin=1)
@@ -281,7 +285,7 @@ def w_inverse(weights, budget: float | None = None) -> PrizeVector:
         raise ValidationError(f"weights must be one-dimensional, got shape {w.shape}")
     bad = np.flatnonzero(~(np.isfinite(w) & (w >= -_SLACK)))
     if bad.size:
-        raise NegativeWeight(f"weight at rank {bad[0] + 1} is negative or not finite")
+        raise ValidationError(f"weight at rank {bad[0] + 1} is negative or not finite")
     js = np.flatnonzero(w > 0.0) + 1
     budget = math.fsum(w[js - 1]) if budget is None else budget
     return PrizeVector(w.size, float(budget), js.tolist(), w[js - 1].tolist())
@@ -291,20 +295,17 @@ def lottery_decomposition(contest: PrizeVector) -> SimpleLottery:
     """Decompose a budget-exhausting contest into a lottery over simple contests.
 
     Pr(j) = (j / V) * (v_j - v_{j+1}) = w_j / V. Requires sum v_j = V within
-    1e-9 relative (:class:`BudgetNotExhausted`); then the probabilities sum
+    1e-9 relative (:class:`ValidationError`); then the probabilities sum
     to 1 and for every rank r, sum_{j>=r} Pr(j) * V/j telescopes back to v_r.
     """
+    _check_contest(contest)
     total = contest.total
     if abs(total - contest.budget) > _BUDGET_SLACK * contest.budget:
-        raise BudgetNotExhausted(f"prizes sum to {total}, budget is {contest.budget}; "
-                                 "the lottery decomposition needs an exhausted budget")
+        raise ValidationError(f"prizes sum to {total}, budget is {contest.budget}; "
+                              "the lottery decomposition needs an exhausted budget")
     probs = np.zeros(contest.n)
     probs[contest._mixture[0] - 1] = np.divide(contest.weights, total)
     return SimpleLottery(tuple(probs.tolist()), contest.budget)
-
-
-def contest_to_dict(contest: PrizeVector) -> dict:
-    return {"budget": contest.budget, "values": list(contest.values)}
 
 
 def contest_from_dict(doc: dict) -> PrizeVector:

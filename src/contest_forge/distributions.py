@@ -29,13 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NoLowCostMass,
-    NumericalError,
-    OutOfRange,
-    PopulationTooLarge,
-    ValidationError,
-)
+from .errors import NumericalError, PopulationTooLarge, ValidationError
 
 __all__ = [
     "Uniform",
@@ -50,7 +44,6 @@ __all__ = [
     "low_cost_max_cdf",
     "median_max_quality",
     "discretize",
-    "distribution_to_dict",
     "distribution_from_dict",
 ]
 
@@ -252,7 +245,7 @@ class EmpiricalTypes:
         if abs(math.fsum(self.w.tolist()) - 1.0) > _WEIGHT_TOL:
             raise ValidationError("support weights must sum to 1")
         if self.n is not None and not (_is_integer(self.n) and self.n >= 1):
-            raise OutOfRange(f"population size must be an integer >= 1, got {self.n!r}")
+            raise ValidationError(f"population size must be an integer >= 1, got {self.n!r}")
         order = np.argsort(-self.q, kind="stable")
         q_desc = self.q[order]
         if np.any(q_desc[1:] == q_desc[:-1]):
@@ -311,9 +304,9 @@ def _check_draws(cost_cap: float, m: int) -> None:
     """The cost cap and draw count of the low-cost maximum: a cap that is a
     number, and an integer m >= 1."""
     if math.isnan(cost_cap):
-        raise OutOfRange(f"cost cap must not be NaN, got {cost_cap!r}")
+        raise ValidationError(f"cost cap must not be NaN, got {cost_cap!r}")
     if not (_is_integer(m) and m >= 1):
-        raise OutOfRange(f"m must be an integer >= 1, got {m!r}")
+        raise ValidationError(f"m must be an integer >= 1, got {m!r}")
 
 
 def low_cost_max_cdf(jd: RectMixture, cost_cap: float, m: int, x: float) -> float:
@@ -321,11 +314,11 @@ def low_cost_max_cdf(jd: RectMixture, cost_cap: float, m: int, x: float) -> floa
 
     Equals [Pr(q <= x or c > cap)]^m; the empty max counts as 0, so a cap
     below every cost gives 1 for any x >= 0. A NaN cap or x, or an m that is
-    not an integer >= 1, raises :class:`OutOfRange`.
+    not an integer >= 1, raises :class:`ValidationError`.
     """
     _check_draws(cost_cap, m)
     if math.isnan(x):
-        raise OutOfRange(f"x must not be NaN, got {x!r}")
+        raise ValidationError(f"x must not be NaN, got {x!r}")
     beat = math.fsum(
         comp.weight * _pr_q_above(comp, x) * _pr_c_at_most(comp, cost_cap)
         for comp in jd.components
@@ -345,7 +338,7 @@ def median_max_quality(jd: RectMixture, cost_cap: float, m: int) -> float:
         comp.weight * _pr_c_at_most(comp, cost_cap) for comp in jd.components
     )
     if qualifying <= 0.0:
-        raise NoLowCostMass(f"no mass with cost <= {cost_cap}")
+        raise ValidationError(f"no mass with cost <= {cost_cap}")
     if low_cost_max_cdf(jd, cost_cap, m, 0.0) >= 0.5:
         return 0.0
     hi = max(
@@ -472,25 +465,6 @@ def _check_marginal(qd) -> None:
 
 
 # --- JSON wire formats ----------------------------------------------------
-
-
-def distribution_to_dict(dist) -> dict:
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform_quality", "a": dist.a, "b": dist.b}
-    if isinstance(dist, PiecewiseLinearCDF):
-        return {"kind": "piecewise_cdf", "knots": [list(k) for k in dist.knots]}
-    if isinstance(dist, RectMixture):
-        return {
-            "kind": "rect_mixture",
-            "components": [
-                {"q": [c.q_lo, c.q_hi], "c": [c.c_lo, c.c_hi], "weight": c.weight}
-                for c in dist.components
-            ],
-        }
-    if isinstance(dist, EmpiricalTypes):
-        points = np.column_stack([dist.q, dist.c, dist.w])
-        return {"kind": "empirical", "points": points.tolist()}
-    raise ValidationError(f"unknown distribution object: {type(dist).__name__}")
 
 
 def distribution_from_dict(doc: dict):

@@ -1,7 +1,16 @@
-"""Exception taxonomy.
+"""Exception taxonomy: one class per way a caller reacts.
 
-Two branches: ``ValidationError`` for bad inputs or domain violations (CLI exit
-code 1) and ``NumericalError`` for solver breakdowns (CLI exit code 2).
+- ``ContestForgeError``: the base of every error this package raises.
+- ``ValidationError``: inputs violate a documented precondition (CLI exit
+  code 1).
+- ``PopulationTooLarge``, a ``ValidationError``: the input is valid but
+  exceeds a documented size limit.
+- ``NumericalError``: a solver failed to meet its contract (CLI exit code 2).
+- ``IterationLimit``, a ``NumericalError``: a solver ran out of steps.
+
+The message names the case; every other failure of an input is a plain
+``ValidationError`` and every other solver breakdown a plain
+``NumericalError``.
 """
 
 from __future__ import annotations
@@ -19,83 +28,9 @@ class NumericalError(ContestForgeError):
     """A solver failed to meet its contract."""
 
 
-# --- validation ---------------------------------------------------------
-
-
-class NotMonotone(ValidationError):
-    """Prize values increase somewhere they must not."""
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"prize values not non-increasing at index {index}")
-
-
-class NegativePrize(ValidationError):
-    pass
-
-
-class BudgetExceeded(ValidationError):
-    pass
-
-
-class IndexOutOfRange(ValidationError):
-    pass
-
-
-class NegativeWeight(ValidationError):
-    pass
-
-
-class BudgetNotExhausted(ValidationError):
-    pass
-
-
-class NoLowCostMass(ValidationError):
-    pass
-
-
 class PopulationTooLarge(ValidationError):
-    pass
-
-
-class InvalidCost(ValidationError):
-    pass
-
-
-class OutOfRange(ValidationError):
-    pass
-
-
-class ProfileNotSubEquilibrium(ValidationError):
-    pass
-
-
-class BudgetTooSmall(ValidationError):
-    pass
-
-
-# --- numerical ----------------------------------------------------------
-
-
-class NonFinite(NumericalError):
-    pass
+    """The input exceeds a documented size limit."""
 
 
 class IterationLimit(NumericalError):
-    pass
-
-
-class BracketFailure(NumericalError):
-    pass
-
-
-class OrderingViolation(NumericalError):
-    pass
-
-
-class NotSubEquilibrium(NumericalError):
-    """A profile that provably should satisfy interim rationality does not.
-
-    Raised loudly instead of being repaired: it would falsify the theory this
-    package implements, so the caller must see it.
-    """
+    """A solver ran out of steps before meeting its contract."""

@@ -44,7 +44,7 @@ import numpy as np
 
 from .contest import (
     PrizeVector,
-    expected_prize,
+    _check_contest,
     expected_prize_curve,
     lottery_decomposition,
     make_simple_contest,
@@ -62,14 +62,7 @@ from .distributions import (
     median_max_quality,
     sample_joint,
 )
-from .errors import (
-    BudgetTooSmall,
-    IndexOutOfRange,
-    NotSubEquilibrium,
-    PopulationTooLarge,
-    ProfileNotSubEquilibrium,
-    ValidationError,
-)
+from .errors import NumericalError, PopulationTooLarge, ValidationError
 from .homogeneous import _check_scalars
 
 __all__ = [
@@ -77,8 +70,6 @@ __all__ = [
     "EquilibriumBracket",
     "ObjectiveEstimate",
     "MedianRule",
-    "beat_probability",
-    "expected_payoff",
     "best_response",
     "equilibrium",
     "is_sub_equilibrium",
@@ -189,6 +180,7 @@ def _check_support(types) -> None:
 
 
 def _population(contest: PrizeVector, types: EmpiricalTypes) -> int:
+    _check_contest(contest)
     _check_support(types)
     if types.n is not None and types.n != contest.n:
         raise ValidationError(
@@ -199,32 +191,15 @@ def _population(contest: PrizeVector, types: EmpiricalTypes) -> int:
 
 def _check_profile(types: EmpiricalTypes, profile: ParticipationProfile) -> None:
     _check_support(types)
+    if not isinstance(profile, ParticipationProfile):
+        raise ValidationError(
+            f"{type(profile).__name__} is not a participation profile; "
+            "use ParticipationProfile(mask)"
+        )
     if profile.size != types.support_size:
         raise ValidationError(
             f"profile size {profile.size} != support size {types.support_size}"
         )
-
-
-def beat_probability(
-    types: EmpiricalTypes, profile: ParticipationProfile, i: int
-) -> float:
-    """Probability that one opponent draw participates and outranks point i."""
-    _check_profile(types, profile)
-    if not (_is_integer(i) and 0 <= i < types.support_size):
-        raise IndexOutOfRange(f"support index {i} outside 0..{types.support_size - 1}")
-    return float(_beat_probabilities(types, profile)[i])
-
-
-def expected_payoff(
-    contest: PrizeVector,
-    types: EmpiricalTypes,
-    profile: ParticipationProfile,
-    i: int,
-) -> float:
-    """Participation payoff of point i against the given opponent profile."""
-    _population(contest, types)
-    p = beat_probability(types, profile, i)
-    return expected_prize(contest, p) - float(types.c[i])
 
 
 def _mass_above(w_desc: np.ndarray, mask_desc: np.ndarray) -> np.ndarray:
@@ -236,7 +211,8 @@ def _mass_above(w_desc: np.ndarray, mask_desc: np.ndarray) -> np.ndarray:
 def _beat_probabilities(
     types: EmpiricalTypes, profile: ParticipationProfile
 ) -> np.ndarray:
-    """Vectorised beat_probability over the whole support."""
+    """Each point's beat probability: the chance that one opponent draw
+    participates and outranks it, the profile's mass above it."""
     order = types._order
     out = np.empty(types.support_size)
     out[order] = _mass_above(types._by_quality[1], profile.mask[order])
@@ -375,16 +351,16 @@ def fosd_check(
 
     Verifies the premises first: ``sub_profile`` must pass is_sub_equilibrium
     and ``eq_profile`` must be a best-response fixed point for the same
-    contest (:class:`ProfileNotSubEquilibrium` otherwise). Then checks
+    contest (:class:`ValidationError` otherwise). Then checks
     output_cdf(eq, x) <= output_cdf(sub, x) + 1e-12 at 0 and at every
     support quality. The dominance lemma is known only on equal-weight
     supports, as ``discretize`` builds them: with unequal weights this can
     be False for a valid sub-equilibrium.
     """
     if not is_sub_equilibrium(contest, types, sub_profile):
-        raise ProfileNotSubEquilibrium("sub profile violates interim rationality")
+        raise ValidationError("sub profile violates interim rationality")
     if not best_response(contest, types, eq_profile).same(eq_profile):
-        raise ProfileNotSubEquilibrium("eq profile is not a best-response fixed point")
+        raise ValidationError("eq profile is not a best-response fixed point")
     xs = np.concatenate(([0.0], types.q))
     cdf_eq = _output_cdfs(types, eq_profile, xs)
     cdf_sub = _output_cdfs(types, sub_profile, xs)
@@ -543,7 +519,7 @@ def median_subequilibrium(jd: RectMixture, budget: float, n: int) -> MedianRule:
     mu = median_max_quality(jd, cap, n - 1)
     win_floor = low_cost_max_cdf(jd, cap, n - 1, mu)
     if win_floor < 0.5 - 1e-9:
-        raise NotSubEquilibrium(
+        raise NumericalError(
             f"median construction certifies win probability {win_floor} < 1/2"
         )
     return MedianRule(mu=mu, cost_cap=cap, win_floor=win_floor)
@@ -555,12 +531,13 @@ def highcost_subequilibrium(
     """Expensive participants of any budget-exhausting equilibrium, as a WTA profile.
 
     V is ``contest.budget``, which the prizes must exhaust
-    (:class:`BudgetNotExhausted` otherwise). Takes the equilibrium of
+    (:class:`ValidationError` otherwise). Takes the equilibrium of
     ``contest``, keeps participants with c > V/2, and verifies directly that
     the kept set is interim-rational under winner-take-all with budget V
     (the lottery decomposition argument says it must be: ranks below the
     top pay at most V/2 < c, so the top-rank term carries the rationality).
-    A failure raises :class:`NotSubEquilibrium` loudly. That WTA's equilibrium
+    A failure raises :class:`NumericalError` loudly: it would falsify the
+    theory, so it is not repaired. That WTA's equilibrium
     dominates it rests on the lemma of :func:`fosd_check`, on equal weights.
     """
     lottery_decomposition(contest)  # validates budget exhaustion
@@ -574,7 +551,7 @@ def highcost_subequilibrium(
         ps = _beat_probabilities(types, kept)[kept.mask]
         worst = float((expected_prize_curve(wta, ps) - types.c[kept.mask]).min())
         if worst < -1e-9 * budget:
-            raise NotSubEquilibrium(
+            raise NumericalError(
                 f"high-cost profile breaks winner-take-all rationality by {worst}"
             )
     return kept
@@ -652,7 +629,7 @@ def wta_approx_experiment(
 
 
 def example_obj(
-    budget: float, n: int, eps: float, seed, *, replicas: int = 200, m: int = 1600
+    budget: float, n: int, eps: float, seed, *, m: int = 1600
 ) -> dict:
     """Two-cluster instance where max and sum objectives need different contests.
 
@@ -667,14 +644,13 @@ def example_obj(
     d. every tested top-heavy contest (v_1 >= 9V/10 - 1) keeps the expected
        sum below V/4.
 
-    Every objective is the exact expectation on the discretized support;
-    ``seed`` drives the discretization only, and ``replicas`` is accepted for
-    compatibility and does not affect the result. The contests need
+    Every objective is the exact expectation on the discretized support, and
+    ``seed`` drives the discretization only. The contests need
     n >= max(11, round(V/2)) ranks.
     """
     _check_scalars(n=n, budget=budget)
     if budget < 160.0:
-        raise BudgetTooSmall(
+        raise ValidationError(
             f"the separation argument needs budget >= 160, got {budget!r}"
         )
     if not 0.0 < eps < 1.0:

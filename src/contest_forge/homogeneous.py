@@ -50,13 +50,14 @@ import numpy as np
 
 from .contest import (
     PrizeVector,
+    _check_contest,
     _check_ranks,
     expected_prize,
     make_simple_contest,
     validate_contest,
 )
 from .distributions import QualityDistribution, _check_marginal, _is_integer, _is_real, quantile
-from .errors import InvalidCost, IterationLimit, NonFinite, OutOfRange, PopulationTooLarge
+from .errors import IterationLimit, NumericalError, PopulationTooLarge, ValidationError
 from .numerics import _TIE_TOL, first_descent, rank_cdf, rank_cdf_inv
 
 __all__ = [
@@ -65,9 +66,7 @@ __all__ = [
     "BruteForceReport",
     "participation_rate",
     "equilibrium_threshold",
-    "optimal_prize_count",
     "c_star",
-    "feasible",
     "optimal_contest",
     "brute_force_design_check",
 ]
@@ -135,6 +134,7 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     no slope. Raises :class:`IterationLimit` after 200 steps, or sooner if
     the bracket closes to adjacent floats first.
     """
+    _check_contest(contest)
     _check_scalars(c=c)
     # v_1 = c(0) sums every term w_j / j; v_n = c(1) is the j = n term, if any
     js, coef = contest._mixture
@@ -155,7 +155,7 @@ def participation_rate(contest: PrizeVector, c: float) -> tuple[float, str | Non
     for _ in range(_MAX_RATE_STEPS):
         gap = expected_prize(contest, p) - c
         if not math.isfinite(gap):
-            raise NonFinite(f"c({p}) = {gap + c}")
+            raise NumericalError(f"c({p}) = {gap + c}")
         if abs(gap) <= tol:
             return p, None
         # an end that stays twice running shrinks by g_old / (g_old + g_new)
@@ -201,40 +201,28 @@ def _check_scalars(
     with the error its value would raise.
     """
     if n is not None and not (_is_integer(n) and n >= 1):
-        raise OutOfRange(f"population size must be an integer >= 1, got {n!r}")
+        raise ValidationError(f"population size must be an integer >= 1, got {n!r}")
     if n is not None and n > MAX_POPULATION:
         raise PopulationTooLarge(
             f"population size {n} exceeds the largest supported {MAX_POPULATION}"
         )
     if c is not None and not (_is_real(c) and math.isfinite(c) and c > 0.0):
-        raise InvalidCost(f"participation cost must be positive and finite, got {c!r}")
+        raise ValidationError(f"participation cost must be positive and finite, got {c!r}")
     if budget is not None and not (_is_real(budget) and math.isfinite(budget) and budget > 0.0):
-        raise OutOfRange(f"budget must be positive and finite, got {budget!r}")
-
-
-def _frontier(n: int, p: float) -> tuple[int, float]:
-    """(j*, y_{j*}): the first descent of y_j = S_j(p) / j, or j* = n if y never descends."""
-    if not 0.0 < p < 1.0:
-        raise OutOfRange(f"p must lie strictly in (0, 1), got {p!r}")
-    return first_descent(lambda js: rank_cdf(n, js, p) / js, n)
-
-
-def optimal_prize_count(n: int, p: float) -> int:
-    """argmax_j y_j(p), ties (within 1e-12 relative) to the smallest j."""
-    _check_scalars(n=n)
-    return _frontier(n, p)[0]
+        raise ValidationError(f"budget must be positive and finite, got {budget!r}")
 
 
 def c_star(n: int, budget: float, p: float) -> float:
-    """Largest cost supportable at participation rate p (the design frontier)."""
+    """Largest cost supportable at participation rate p (the design frontier).
+
+    V times max_j y_j(p), read at the first descent of y_j = S_j(p) / j
+    (j* = n if y never descends): the smallest argmax, ties within 1e-12
+    relative. ``p`` is one real number strictly inside (0, 1).
+    """
     _check_scalars(n=n, budget=budget)
-    return budget * _frontier(n, p)[1]
-
-
-def feasible(n: int, budget: float, c: float, p: float) -> bool:
-    """Whether some contest with budget V sustains participation rate p at cost c."""
-    _check_scalars(c=c)
-    return c <= c_star(n, budget, p)
+    if not (_is_real(p) and 0.0 < p < 1.0):
+        raise ValidationError(f"p must lie strictly in (0, 1), got {p!r}")
+    return budget * first_descent(lambda js: rank_cdf(n, js, p) / js, n)[1]
 
 
 def optimal_contest(
@@ -316,7 +304,7 @@ def brute_force_design_check(
     if n > 6:
         raise PopulationTooLarge(f"exhaustive grid limited to n <= 6, got {n}")
     if not 0.0 < grid_step <= 1.0:
-        raise OutOfRange(f"grid_step must lie in (0, 1], got {grid_step!r}")
+        raise ValidationError(f"grid_step must lie in (0, 1], got {grid_step!r}")
     if 1.0 / grid_step >= _MAX_GRID_STEPS + 0.5:  # an overflow to inf fails here too
         raise PopulationTooLarge(f"grid_step {grid_step!r} finer than 1/{_MAX_GRID_STEPS}")
     K = round(1.0 / grid_step)

@@ -53,11 +53,10 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import BracketFailure, IterationLimit, NonFinite
+from .errors import IterationLimit, NumericalError
 
 __all__ = [
     "BracketedRoot",
-    "log_factorial",
     "RankKernel",
     "rank_cdf",
     "rank_cdf_inv",
@@ -96,13 +95,6 @@ class BracketedRoot:
     iterations: int
     saturated_low: bool = False
     saturated_high: bool = False
-
-
-def log_factorial(n: int) -> float:
-    """Natural log of n! for integer n >= 0."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return math.lgamma(n + 1.0)
 
 
 class RankKernel:
@@ -302,7 +294,7 @@ def bisect_decreasing(
 
     Stops when |f(mid) - target| <= tol. Targets above f(lo) return lo with
     ``saturated_low`` set; targets below f(hi) return hi with
-    ``saturated_high``. Raises :class:`NonFinite` if f produces a non-finite
+    ``saturated_high``. Raises :class:`NumericalError` if f produces a non-finite
     value and :class:`IterationLimit` after 200 bisection steps without
     meeting the residual tolerance. No solver in the package calls it; it is
     the reference the tests check ``participation_rate`` against.
@@ -315,7 +307,7 @@ def bisect_decreasing(
     f_lo = f(lo)
     f_hi = f(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise NonFinite(f"f non-finite at bracket endpoints: f({lo})={f_lo}, f({hi})={f_hi}")
+        raise NumericalError(f"f non-finite at bracket endpoints: f({lo})={f_lo}, f({hi})={f_hi}")
     if target > f_lo:
         return BracketedRoot(lo, f_lo - target, 0, saturated_low=True)
     if target < f_hi:
@@ -329,7 +321,7 @@ def bisect_decreasing(
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if not math.isfinite(f_mid):
-            raise NonFinite(f"f({mid}) = {f_mid}")
+            raise NumericalError(f"f({mid}) = {f_mid}")
         if abs(f_mid - target) <= tol:
             return BracketedRoot(mid, f_mid - target, iteration)
         if f_mid > target:
@@ -348,7 +340,7 @@ def find_positive_root_sign_change(
     """Locate the unique positive root of a function negative near 0+.
 
     Doubles ``x_start`` until the sign changes (at most 128 doublings, else
-    :class:`BracketFailure`), then bisects to relative tolerance 1e-12 on the
+    :class:`NumericalError`), then bisects to relative tolerance 1e-12 on the
     argument. Intended for polynomials with a single sign change on (0, inf).
     """
     if x_start <= 0.0:
@@ -357,16 +349,16 @@ def find_positive_root_sign_change(
     lo = 0.0
     f_lo = poly_eval(lo)
     if not math.isfinite(f_lo):
-        raise NonFinite(f"poly({lo}) = {f_lo}")
+        raise NumericalError(f"poly({lo}) = {f_lo}")
     if f_lo >= 0.0:
-        raise BracketFailure(f"expected poly(0) < 0, got {f_lo}")
+        raise NumericalError(f"expected poly(0) < 0, got {f_lo}")
 
     x = x_start
     doublings = 0
     while True:
         f_x = poly_eval(x)
         if not math.isfinite(f_x):
-            raise NonFinite(f"poly({x}) = {f_x}")
+            raise NumericalError(f"poly({x}) = {f_x}")
         if f_x == 0.0:
             return BracketedRoot(x, 0.0, doublings)
         if f_x > 0.0:
@@ -375,7 +367,7 @@ def find_positive_root_sign_change(
         lo = x
         doublings += 1
         if doublings > _MAX_DOUBLINGS:
-            raise BracketFailure(
+            raise NumericalError(
                 f"no sign change within {_MAX_DOUBLINGS} doublings from {x_start}"
             )
         x *= 2.0
@@ -388,7 +380,7 @@ def find_positive_root_sign_change(
             break
         f_mid = poly_eval(mid)
         if not math.isfinite(f_mid):
-            raise NonFinite(f"poly({mid}) = {f_mid}")
+            raise NumericalError(f"poly({mid}) = {f_mid}")
         if f_mid < 0.0:
             lo = mid
         else:

@@ -51,8 +51,8 @@ from contest_forge.homogeneous import (
     equilibrium_threshold,
     optimal_contest,
 )
-from contest_forge.numerics import log_factorial
 from test_contest import random_contest
+from test_numerics import log_factorial
 
 UNIFORM = Uniform(0.0, 1.0)
 
@@ -315,7 +315,7 @@ class TestAcceptance:
 
     def test_10_max_vs_sum_conflict(self, capsys):
         t0 = time.time()
-        rep = example_obj(400.0, 4000, 0.01, seed=0, replicas=200)
+        rep = example_obj(400.0, 4000, 0.01, seed=0)
         checks = rep["checks"]
         elapsed = time.time() - t0
         ok = all(checks.values()) and elapsed < 300.0
@@ -370,7 +370,7 @@ class TestAcceptance:
             ["approx", "--dist", str(dist), "--n", "6", "--prize", "1",
              "--m", "60", "--replicas", "500", "--seed", "5"],
             ["example-obj", "--prize", "160", "--n", "200", "--eps", "0.01",
-             "--seed", "1", "--replicas", "50"],
+             "--seed", "1"],
         ]
         ok = True
         details = []

@@ -191,7 +191,7 @@ class TestApprox:
 class TestExampleObj:
     def test_runs_small(self, capsys):
         argv = ["example-obj", "--prize", "160", "--n", "200",
-                "--eps", "0.01", "--seed", "1", "--replicas", "20"]
+                "--eps", "0.01", "--seed", "1"]
         code, out, _ = run(capsys, argv)
         assert code == 0
         doc = json.loads(out)
@@ -201,6 +201,11 @@ class TestExampleObj:
             "spread_has_no_high_types",
             "top_heavy_sum_below_quarter",
         }
+
+    def test_replicas_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["example-obj", "--replicas", "50"])
+        assert code == 1 and out == ""
+        assert err == "contest-forge: error: unrecognized arguments: --replicas 50\n"
 
 
 class TestScalarBoundary:

@@ -24,12 +24,7 @@ from contest_forge.compstat import (
 )
 from contest_forge.contest import expected_prize, make_simple_contest
 from contest_forge.distributions import Uniform
-from contest_forge.errors import (
-    IterationLimit,
-    OutOfRange,
-    PopulationTooLarge,
-    ValidationError,
-)
+from contest_forge.errors import IterationLimit, PopulationTooLarge, ValidationError
 from contest_forge.homogeneous import optimal_contest
 from contest_forge.numerics import (
     LogPmfKernel,
@@ -416,9 +411,9 @@ class TestClassification:
 
     def test_range_gate(self):
         table = breakpoints(5, 1.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValidationError, match="^need 0 < c < V = 1.0, got 0.0$"):
             classify_by_breakpoints(table, 0.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValidationError, match="^need 0 < c < V = 1.0, got 1.0$"):
             classify_by_breakpoints(table, 1.0)
 
     def test_wta_criterion_equivalence(self):
@@ -456,9 +451,9 @@ class TestPoissonLimit:
         )
 
     def test_range_gate(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValidationError, match="^need 0 < c < V = 1.0, got 1.0$"):
             poisson_limit(1.0, 1.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValidationError, match="^need 0 < c < V = 1.0, got 0.0$"):
             poisson_limit(1.0, 0.0)
 
     def test_matches_envelope_bisection(self):
@@ -543,7 +538,7 @@ class TestAsymptoticScan:
             assert 0.3 <= row.r_lambda <= 3.0
 
     def test_gates(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValidationError, match="^scan scales must be finite and >= 20"):
             asymptotic_scan(1.0, [10.0])
         with pytest.raises(ValidationError):
             asymptotic_scan(1.0, [100.0], n_factor=2.0)

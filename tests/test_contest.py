@@ -10,7 +10,6 @@ from contest_forge import contest as contest_module
 from contest_forge.contest import (
     PrizeVector,
     contest_from_dict,
-    contest_to_dict,
     expected_prize,
     expected_prize_curve,
     lottery_decomposition,
@@ -20,19 +19,18 @@ from contest_forge.contest import (
     w_transform,
 )
 from contest_forge.distributions import EmpiricalTypes, Uniform
-from contest_forge.errors import (
-    BudgetExceeded,
-    BudgetNotExhausted,
-    IndexOutOfRange,
-    NegativePrize,
-    NegativeWeight,
-    NotMonotone,
-    PopulationTooLarge,
-    ValidationError,
-)
+from contest_forge.errors import PopulationTooLarge, ValidationError
 from contest_forge.heterogeneous import equilibrium
 from contest_forge.homogeneous import c_star, optimal_contest, participation_rate
 from contest_forge.numerics import rank_cdf
+
+
+# the messages of PrizeVector's rank, weight and budget checks; the test
+# ids name the three checks IndexOutOfRange, NegativeWeight and BudgetExceeded
+RANKS = "^need integers n >= 1 and ranks rising in 1..n"
+WEIGHTS = "^mixture weights must be finite and positive$"
+BUDGET = "^budget must be positive and finite"
+OVERRUN = "^prizes sum to .*, exceeding budget"
 
 
 def random_contest(rng, n, budget=1.0, exhaust=False):
@@ -53,30 +51,29 @@ class TestPrizeVector:
         np.testing.assert_allclose(v.total, 1.0)
 
     def test_rejects_increase(self):
-        with pytest.raises(NotMonotone) as err:
+        with pytest.raises(ValidationError, match="^prize values not non-increasing at index 2$"):
             validate_contest((0.2, 0.5, 0.1), 1.0)
-        assert err.value.index == 2
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativePrize):
+        with pytest.raises(ValidationError, match="^prize at rank 2 is negative or not finite"):
             validate_contest((0.5, -0.2), 1.0)
 
     def test_tolerates_tiny_negative(self):
         validate_contest((0.5, -1e-13), 1.0)
 
     def test_rejects_budget_overrun(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(ValidationError, match="^prizes sum to .*, exceeding budget 1.0$"):
             validate_contest((0.8, 0.4), 1.0)
 
     def test_simple_contest(self):
         m2 = make_simple_contest(2, 1.0, 5)
         assert m2.values == (0.5, 0.5, 0.0, 0.0, 0.0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValidationError, match=RANKS):
             make_simple_contest(6, 1.0, 5)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValidationError, match=RANKS):
             make_simple_contest(0, 1.0, 5)
         for j, n in ((1, True), (np.array(2), 5)):  # a bool or an array is no integer
-            with pytest.raises(IndexOutOfRange):
+            with pytest.raises(ValidationError, match=RANKS):
                 make_simple_contest(j, 1.0, n)
         assert make_simple_contest(np.int64(2), 1.0, np.int64(5)).values == m2.values
 
@@ -98,12 +95,13 @@ def parent_w_inverse_values(weights):
 
 
 def parent_first_violation(values):
-    """(error class, rank) of the per-prize loop PrizeVector ran before it stored weights."""
+    """(kind, message) of the first error of the per-prize loop PrizeVector
+    ran before it stored weights; the message names the 1-based rank."""
     for j, v in enumerate(values, start=1):
         if not math.isfinite(v) or v < -1e-12:
-            return NegativePrize, j
+            return "negative", f"prize at rank {j} is negative or not finite: "
         if j > 1 and v > values[j - 2] + 1e-12:
-            return NotMonotone, j
+            return "rising", f"prize values not non-increasing at index {j}"
     return None, None
 
 
@@ -193,22 +191,23 @@ class TestMixtureStorage:
                 values[k] = rng.choice([-0.1, -2e-12, -5e-13, 2.0, math.nan, math.inf, -math.inf,
                                         values[k] + 5e-13, values[k] + 2e-12])
             values = tuple(float(v) for v in values)
-            want_class, want_rank = parent_first_violation(values)
-            if want_class is None:
+            want_kind, want_message = parent_first_violation(values)
+            if want_kind is None:
                 assert validate_contest(values, 100.0).values == values
                 continue
-            with pytest.raises(want_class) as err:
+            with pytest.raises(ValidationError) as err:
                 validate_contest(values, 100.0)
-            if want_class is NotMonotone:
-                assert err.value.index == want_rank
+            assert type(err.value) is ValidationError
+            if want_kind == "rising":
+                assert str(err.value) == want_message
             else:
-                assert f"rank {want_rank} " in str(err.value)
-            seen.add(want_class)
-        assert seen == {NegativePrize, NotMonotone}
+                assert str(err.value).startswith(want_message)
+            seen.add(want_kind)
+        assert seen == {"negative", "rising"}
 
     def test_serialized_simple_contest_round_trips(self):
         m = make_simple_contest(49, 1.0, 50)
-        back = contest_from_dict(contest_to_dict(m))
+        back = contest_from_dict({"budget": m.budget, "values": list(m.values)})
         assert back == m and hash(back) == hash(m)
         assert back != make_simple_contest(48, 1.0, 50)
         assert back != validate_contest(m.values, 2.0)
@@ -228,27 +227,30 @@ class TestMixtureStorage:
     @pytest.mark.parametrize(
         "n, ranks, weights, budget, error",
         [
-            (3, (2, 1), (0.5, 0.5), 1.0, IndexOutOfRange),
-            (3, (1, 1), (0.5, 0.5), 1.0, IndexOutOfRange),
-            (3, (0,), (0.5,), 1.0, IndexOutOfRange),
-            (3, (4,), (0.5,), 1.0, IndexOutOfRange),
-            (3, (1.5,), (0.5,), 1.0, IndexOutOfRange),
-            (3, (math.nan,), (0.5,), 1.0, IndexOutOfRange),
-            (3, (1, 2), (0.5,), 1.0, IndexOutOfRange),
-            (0, (), (), 1.0, IndexOutOfRange),
-            (3.0, (1,), (0.5,), 1.0, IndexOutOfRange),
-            (3, (1,), (0.0,), 1.0, NegativeWeight),
-            (3, (1, 2), (0.5, math.nan), 1.0, NegativeWeight),
-            (3, (1, 2), (math.inf, 0.5), 1.0, NegativeWeight),
-            (3, (1, 2), (0.6, 0.5), 1.0, BudgetExceeded),
-            (3, (1,), (0.5,), math.nan, BudgetExceeded),
-            (True, (1,), (0.5,), 1.0, IndexOutOfRange),
-            (5, (np.array(2),), (0.5,), 1.0, IndexOutOfRange),
-            (2**64, (2**63,), (0.5,), 1.0, IndexOutOfRange),
+            (3, (2, 1), (0.5, 0.5), 1.0, "IndexOutOfRange"),
+            (3, (1, 1), (0.5, 0.5), 1.0, "IndexOutOfRange"),
+            (3, (0,), (0.5,), 1.0, "IndexOutOfRange"),
+            (3, (4,), (0.5,), 1.0, "IndexOutOfRange"),
+            (3, (1.5,), (0.5,), 1.0, "IndexOutOfRange"),
+            (3, (math.nan,), (0.5,), 1.0, "IndexOutOfRange"),
+            (3, (1, 2), (0.5,), 1.0, "IndexOutOfRange"),
+            (0, (), (), 1.0, "IndexOutOfRange"),
+            (3.0, (1,), (0.5,), 1.0, "IndexOutOfRange"),
+            (3, (1,), (0.0,), 1.0, "NegativeWeight"),
+            (3, (1, 2), (0.5, math.nan), 1.0, "NegativeWeight"),
+            (3, (1, 2), (math.inf, 0.5), 1.0, "NegativeWeight"),
+            (3, (1, 2), (0.6, 0.5), 1.0, "BudgetExceeded"),
+            (3, (1,), (0.5,), math.nan, "BudgetExceeded"),
+            (True, (1,), (0.5,), 1.0, "IndexOutOfRange"),
+            (5, (np.array(2),), (0.5,), 1.0, "IndexOutOfRange"),
+            (2**64, (2**63,), (0.5,), 1.0, "IndexOutOfRange"),
         ],
     )
     def test_constructor_checks_the_terms(self, n, ranks, weights, budget, error):
-        with pytest.raises(error):
+        budget_message = BUDGET if math.isnan(budget) else OVERRUN
+        message = {"IndexOutOfRange": RANKS, "NegativeWeight": WEIGHTS,
+                   "BudgetExceeded": budget_message}[error]
+        with pytest.raises(ValidationError, match=message):
             PrizeVector(n, budget, ranks, weights)
 
 
@@ -435,16 +437,14 @@ class TestLotteryDecomposition:
                 np.testing.assert_allclose(payoff, v.values[r], rtol=0, atol=1e-12)
 
     def test_requires_exhausted_budget(self):
-        with pytest.raises(BudgetNotExhausted):
+        with pytest.raises(ValidationError, match="needs an exhausted budget$"):
             lottery_decomposition(validate_contest((0.4, 0.1), 1.0))
 
 
 class TestSerialization:
     def test_round_trip(self):
         v = validate_contest([0.5, 0.25, 0.25], 1.0)
-        doc = contest_to_dict(v)
-        assert doc == {"budget": 1.0, "values": [0.5, 0.25, 0.25]}
-        assert contest_from_dict(doc) == v
+        assert contest_from_dict({"budget": 1.0, "values": [0.5, 0.25, 0.25]}) == v
 
     def test_missing_field(self):
         with pytest.raises(ValidationError):

@@ -12,13 +12,12 @@ from contest_forge.distributions import (
     cdf,
     discretize,
     distribution_from_dict,
-    distribution_to_dict,
     low_cost_max_cdf,
     median_max_quality,
     quantile,
     sample_joint,
 )
-from contest_forge.errors import NoLowCostMass, ValidationError
+from contest_forge.errors import ValidationError
 
 
 def two_cluster(V=400.0, eps=0.01):
@@ -244,7 +243,7 @@ class TestMedianMaxQuality:
 
     def test_no_qualifying_mass(self):
         jd = RectMixture((RectComponent(0.0, 1.0, 2.0, 3.0, 1.0),))
-        with pytest.raises(NoLowCostMass):
+        with pytest.raises(ValidationError, match="^no mass with cost <= 1.0$"):
             median_max_quality(jd, 1.0, 4)
 
 
@@ -324,16 +323,22 @@ class TestDiscretize:
 
 class TestSerialization:
     def test_round_trips(self):
-        dists = [
-            Uniform(0.0, 2.0),
-            PiecewiseLinearCDF(((0.0, 0.0), (1.0, 0.25), (2.0, 1.0))),
-            two_cluster(),
-            EmpiricalTypes(q=[1.0, 2.0], c=[0.1, 0.2], w=[0.5, 0.5]),
+        """Each document kind the CLI reads builds the law it describes."""
+        laws = [
+            ({"kind": "uniform_quality", "a": 0.0, "b": 2.0}, Uniform(0.0, 2.0)),
+            ({"kind": "piecewise_cdf", "knots": [[0.0, 0.0], [1.0, 0.25], [2.0, 1.0]]},
+             PiecewiseLinearCDF(((0.0, 0.0), (1.0, 0.25), (2.0, 1.0)))),
+            ({"kind": "rect_mixture", "components": [
+                {"q": [1.0, 1.01], "c": [0.99, 1.0], "weight": 0.5},
+                {"q": [20.0, 21.0], "c": [359.0, 360.0], "weight": 0.5},
+            ]}, two_cluster()),
         ]
-        for d in dists:
-            doc = distribution_to_dict(d)
-            back = distribution_from_dict(doc)
-            assert distribution_to_dict(back) == doc
+        for doc, law in laws:
+            assert distribution_from_dict(doc) == law
+        doc = {"kind": "empirical", "points": [[1.0, 0.1, 0.5], [2.0, 0.2, 0.5]]}
+        support = distribution_from_dict(doc)
+        assert isinstance(support, EmpiricalTypes) and support.n is None
+        assert np.column_stack([support.q, support.c, support.w]).tolist() == doc["points"]
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

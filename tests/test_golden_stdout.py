@@ -27,7 +27,7 @@ COMMANDS = {
     "approx": ["approx", "--dist", "{dist}", "--n", "6", "--prize", "1",
                "--m", "60", "--replicas", "500", "--seed", "5"],
     "example_obj": ["example-obj", "--prize", "160", "--n", "200", "--eps", "0.01",
-                    "--seed", "1", "--replicas", "50"],
+                    "--seed", "1"],
     "design_n2000": ["design", "--n", "2000", "--prize", "500", "--cost", "1"],
     "compstat_n300_json": ["compstat", "--n", "300", "--format", "json"],
 }

@@ -7,28 +7,30 @@ from scipy import special, stats
 from contest_forge import homogeneous, numerics
 from contest_forge.contest import expected_prize, make_simple_contest, validate_contest
 from contest_forge.distributions import PiecewiseLinearCDF, Uniform, cdf
-from contest_forge.errors import (
-    InvalidCost,
-    IterationLimit,
-    OutOfRange,
-    PopulationTooLarge,
-    ValidationError,
-)
+from contest_forge.errors import IterationLimit, PopulationTooLarge, ValidationError
 from contest_forge.homogeneous import (
     FULL_PARTICIPATION,
     ZERO_PARTICIPATION,
     brute_force_design_check,
     c_star,
     equilibrium_threshold,
-    feasible,
     optimal_contest,
-    optimal_prize_count,
     participation_rate,
 )
-from contest_forge.numerics import bisect_decreasing, rank_cdf, rank_cdf_inv
+from contest_forge.numerics import bisect_decreasing, first_descent, rank_cdf, rank_cdf_inv
 from test_contest import random_contest
 
 UNIFORM = Uniform(0.0, 1.0)
+
+
+# the message of a cost that is not positive and finite
+COST = "^participation cost must be positive and finite, got "
+
+
+def optimal_prize_count(n, p):
+    """j* of the design frontier: the first descent of y_j = S_j(p) / j, the
+    search whose value c_star scales by V."""
+    return first_descent(lambda js: rank_cdf(n, js, p) / js, n)[0]
 
 
 def scan_prize_count(n, p):
@@ -69,7 +71,7 @@ class TestParticipationRate:
     def test_rejects_nonpositive_cost(self):
         v = make_simple_contest(1, 1.0, 3)
         for c in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(InvalidCost):
+            with pytest.raises(ValidationError, match=COST):
                 participation_rate(v, c)
 
     def test_decreasing_in_cost(self):
@@ -275,11 +277,15 @@ class TestOptimalPrizeCount:
         assert optimal_prize_count(5, 0.25) == 2
 
     def test_against_full_scan(self):
+        """The first descent is the smallest argmax of a full scan, and
+        c_star is V times y_j there."""
         rng = np.random.default_rng(42)
         for _ in range(50):
             n = int(rng.integers(2, 201))
             p = float(rng.uniform(0.01, 0.99))
-            assert optimal_prize_count(n, p) == scan_prize_count(n, p)
+            j = optimal_prize_count(n, p)
+            assert j == scan_prize_count(n, p)
+            assert c_star(n, 2.5, p) == 2.5 * float(rank_cdf(n, j, p) / j)
 
     def test_monotone_in_p(self):
         # more participation supports more prizes
@@ -288,10 +294,9 @@ class TestOptimalPrizeCount:
             assert all(a <= b for a, b in zip(js, js[1:]))
 
     def test_rejects_degenerate_p(self):
-        with pytest.raises(OutOfRange):
-            optimal_prize_count(5, 0.0)
-        with pytest.raises(OutOfRange):
-            optimal_prize_count(5, 1.0)
+        for p in (0.0, 1.0):
+            with pytest.raises(ValidationError, match=r"^p must lie strictly in \(0, 1\)"):
+                c_star(5, 1.0, p)
 
 
 class TestCStar:
@@ -325,10 +330,6 @@ class TestCStar:
             if a > 0.125 + 1e-12:
                 assert a > b
         assert values[-1] == 0.125
-
-    def test_feasible(self):
-        assert feasible(5, 1.0, 0.40, 0.2)
-        assert not feasible(5, 1.0, 0.41, 0.2)
 
 
 def scan_simple_rates(n, budget, c, js):
@@ -516,7 +517,7 @@ class TestOptimalContest:
 
     def test_rejects_nonpositive_cost(self):
         for c in (0.0, math.nan, math.inf):
-            with pytest.raises(InvalidCost):
+            with pytest.raises(ValidationError, match=COST):
                 optimal_contest(5, 1.0, c, UNIFORM)
 
     def test_rejects_bad_population_and_budget(self):
@@ -556,5 +557,5 @@ class TestBruteForce:
             with pytest.raises(PopulationTooLarge):
                 brute_force_design_check(6, 1.0, 0.5, grid_step=step)
         for step in (math.nan, 0.0, -0.1, 1.5, math.inf):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(ValidationError, match=r"^grid_step must lie in \(0, 1\]"):
                 brute_force_design_check(6, 1.0, 0.5, grid_step=step)

@@ -19,8 +19,10 @@ from contest_forge.contest import (
     SimpleLottery,
     expected_prize,
     expected_prize_curve,
+    lottery_decomposition,
     make_simple_contest,
     w_inverse,
+    w_transform,
 )
 from contest_forge.distributions import (
     EmpiricalTypes,
@@ -34,11 +36,12 @@ from contest_forge.distributions import (
 from contest_forge.errors import ValidationError
 from contest_forge.heterogeneous import (
     ParticipationProfile,
-    beat_probability,
     best_response,
     equilibrium,
     exact_objective,
-    expected_payoff,
+    fosd_check,
+    highcost_subequilibrium,
+    is_sub_equilibrium,
     mc_objective,
     median_subequilibrium,
     output_cdf,
@@ -46,7 +49,6 @@ from contest_forge.heterogeneous import (
 from contest_forge.homogeneous import (
     c_star,
     equilibrium_threshold,
-    feasible,
     optimal_contest,
     participation_rate,
 )
@@ -68,7 +70,6 @@ def everyone(q, c):
         pytest.param(lambda: wta_optimal(5, 1.0, math.nan), id="wta_optimal-nan-cost"),
         pytest.param(lambda: wta_optimal(5, math.inf, 0.5), id="wta_optimal-inf-budget"),
         pytest.param(lambda: wta_optimal(2.5, 1.0, 0.5), id="wta_optimal-fractional-n"),
-        pytest.param(lambda: feasible(10, 1.0, math.nan, 0.5), id="feasible-nan-cost"),
         pytest.param(lambda: bound_audit(100, 0.1, 10, vc=math.nan), id="bound_audit-nan-vc"),
         pytest.param(lambda: bound_audit(100, 0.1, 10, vc=math.inf), id="bound_audit-inf-vc"),
         pytest.param(
@@ -98,10 +99,6 @@ def everyone(q, c):
         pytest.param(lambda: exact_objective(TYPES, FULL, True, "max"), id="exact-bool-n"),
         pytest.param(lambda: exact_objective(TYPES, FULL, math.nan, "max"), id="exact-nan-n"),
         pytest.param(lambda: output_cdf(TYPES, FULL, math.nan), id="output_cdf-nan-x"),
-        pytest.param(lambda: beat_probability(TYPES, FULL, 1.5), id="beat-fractional-i"),
-        pytest.param(lambda: beat_probability(TYPES, FULL, True), id="beat-bool-i"),
-        pytest.param(lambda: expected_payoff(CONTEST, TYPES, FULL, 1.5),
-                     id="payoff-fractional-i"),
         pytest.param(lambda: median_subequilibrium(JD, math.nan, 5), id="median-nan-budget"),
         pytest.param(lambda: median_subequilibrium(JD, 1.0, 2.5), id="median-fractional-n"),
         pytest.param(lambda: median_max_quality(JD, math.nan, 3), id="median_max-nan-cap"),
@@ -140,6 +137,12 @@ def test_reproduced_gaps_raise_validation_error(call):
         call()
 
 
+CONTEST_LIST = [0.5, 0.5, 0.0, 0.0, 0.0]
+MASK = np.array([True, True])
+CONTEST_KIND = "^list is not a contest; use validate_contest"
+PROFILE_KIND = r"^ndarray is not a participation profile; use ParticipationProfile\(mask\)$"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -152,9 +155,40 @@ def test_reproduced_gaps_raise_validation_error(call):
                      id="best_response-joint-law"),
         pytest.param(lambda: exact_objective(JD, FULL, 5, "max"), "discretize",
                      id="exact_objective-joint-law"),
+        pytest.param(lambda: equilibrium(CONTEST_LIST, TYPES), CONTEST_KIND,
+                     id="equilibrium-list-contest"),
+        pytest.param(lambda: participation_rate(CONTEST_LIST, 0.3), CONTEST_KIND,
+                     id="participation_rate-list-contest"),
+        pytest.param(lambda: equilibrium_threshold(CONTEST_LIST, UNIFORM, 0.3),
+                     CONTEST_KIND, id="equilibrium_threshold-list-contest"),
+        pytest.param(lambda: expected_prize(CONTEST_LIST, 0.3), CONTEST_KIND,
+                     id="expected_prize-list-contest"),
+        pytest.param(lambda: expected_prize_curve(CONTEST_LIST, [0.3]), CONTEST_KIND,
+                     id="expected_prize_curve-list-contest"),
+        pytest.param(lambda: w_transform(CONTEST_LIST), CONTEST_KIND,
+                     id="w_transform-list-contest"),
+        pytest.param(lambda: lottery_decomposition(CONTEST_LIST), CONTEST_KIND,
+                     id="lottery_decomposition-list-contest"),
+        pytest.param(lambda: highcost_subequilibrium(CONTEST_LIST, TYPES),
+                     CONTEST_KIND, id="highcost_subequilibrium-list-contest"),
+        pytest.param(lambda: is_sub_equilibrium(CONTEST, TYPES, MASK), PROFILE_KIND,
+                     id="is_sub_equilibrium-array-profile"),
+        pytest.param(lambda: best_response(CONTEST, TYPES, MASK), PROFILE_KIND,
+                     id="best_response-array-profile"),
+        pytest.param(lambda: exact_objective(TYPES, MASK, 5, "max"), PROFILE_KIND,
+                     id="exact_objective-array-profile"),
+        pytest.param(lambda: fosd_check(TYPES, FULL, MASK, CONTEST), PROFILE_KIND,
+                     id="fosd_check-array-sub-profile"),
+        pytest.param(lambda: fosd_check(TYPES, MASK, ParticipationProfile.empty(2), CONTEST),
+                     PROFILE_KIND, id="fosd_check-array-eq-profile"),
+        pytest.param(lambda: output_cdf(TYPES, MASK, 0.5), PROFILE_KIND,
+                     id="output_cdf-array-profile"),
     ],
 )
 def test_law_of_the_wrong_kind_raises_validation_error(call, message):
+    """A law, a contest or a profile of the wrong kind names the kind it
+    needs; a list as a contest or an array as a profile once ended in a raw
+    AttributeError."""
     with pytest.raises(ValidationError, match=message):
         call()
 
@@ -175,10 +209,18 @@ def test_law_of_the_wrong_kind_raises_validation_error(call, message):
         pytest.param(lambda: breakpoints(5, True), id="breakpoints-bool-budget"),
         pytest.param(lambda: poisson_limit(True, 0.5), id="poisson_limit-bool-budget"),
         pytest.param(lambda: wta_optimal(5, 1.0, True), id="wta_optimal-bool-cost"),
+        pytest.param(lambda: expected_prize(CONTEST, True), id="prize-bool-p"),
+        pytest.param(lambda: expected_prize(CONTEST, np.array([0.5])), id="prize-array-p"),
+        pytest.param(lambda: poisson_value(1.0, 2, True), id="poisson_value-bool-lam"),
+        pytest.param(lambda: poisson_value(1.0, 2, np.array([0.5])),
+                     id="poisson_value-array-lam"),
+        pytest.param(lambda: c_star(5, 1.0, np.array([0.5])), id="c_star-array-p"),
+        pytest.param(lambda: c_star(5, 1.0, np.array([0.5, 0.6])), id="c_star-2-array-p"),
     ],
 )
 def test_bools_and_arrays_at_the_scalar_boundary(call):
-    """A one-element array once ended in a raw TypeError; a bool answered as 1.0."""
+    """A one-element array once ended in a raw TypeError or ValueError, or
+    answered as its element; a bool answered as 1.0."""
     with pytest.raises(ValidationError):
         call()
 
@@ -190,3 +232,8 @@ def test_numpy_scalars_and_0d_arrays_stay_accepted():
     table = breakpoints(5, 1.0)
     assert classify_by_breakpoints(table, np.float32(0.3)) == classify_by_breakpoints(table, 0.3)
     assert poisson_limit(np.float64(2.0), np.array(0.5)) == poisson_limit(2.0, 0.5)
+    assert expected_prize(CONTEST, np.float64(0.3)) == expected_prize(CONTEST, 0.3)
+    assert expected_prize(CONTEST, np.array(0.3)) == expected_prize(CONTEST, 0.3)
+    assert c_star(5, 1.0, np.float64(0.5)) == c_star(5, 1.0, 0.5)
+    assert c_star(5, 1.0, np.array(0.5)) == c_star(5, 1.0, 0.5)
+    assert poisson_value(1.0, 2, np.array(0.5)) == poisson_value(1.0, 2, 0.5)
