@@ -308,12 +308,13 @@ def poisson_limit(budget: float, c: float) -> PoissonLimit:
     lam_j = Q^{-1}(j, c j / V) and the upper envelope reaches it at
     lam* = max_j lam_j. As in the finite design, lam_j is unimodal in j, so
     j_star is its first descent: the smallest argmax, ties within 1e-12
-    relative. The search's first read is a window of 32 j around the
-    measured j* ~ vc - sqrt(vc / ln vc), vc = V/c (its leading constant is
-    1 to within 3% above vc = 10^3), and usually holds j*; from any start
-    the answer is the same. V/c above 1e8, or not finite, raises
-    PopulationTooLarge: past it the steps of lam_j in j come near the tie
-    tolerance and the search stops matching a dense argmax.
+    relative. The search's first read is a window of 6 j from one below
+    the measured j* ~ vc - sqrt(vc / ln vc), vc = V/c (its leading constant
+    is 1 to within 3% above vc = 10^3), and usually holds j*; a miss reads
+    the neighbouring window. From any start the answer is the same. V/c
+    above 1e8, or not finite, raises PopulationTooLarge: past it the steps
+    of lam_j in j come near the tie tolerance and the search stops matching
+    a dense argmax.
     """
     _check_scalars(budget=budget)
     if not (_is_real(c) and 0.0 < c < budget):

@@ -74,11 +74,14 @@ def _check_seed(seed) -> None:
 
 
 def _unit_interval(u):
-    """``u`` checked to lie in [0, 1], NaN excluded: a float for a scalar, else an array."""
-    if isinstance(u, (int, float)):
+    """``u`` checked to lie in [0, 1], NaN and bools excluded: a float for a scalar, else an array."""
+    if type(u) is float:  # the common case, on the design solvers' hot path
         if 0.0 <= u <= 1.0:
+            return u
+    elif isinstance(u, (int, float)):
+        if 0.0 <= u <= 1.0 and not isinstance(u, bool):
             return float(u)
-    else:
+    elif not isinstance(u, np.bool_):
         u = np.asarray(u, dtype=float)
         if ((u >= 0.0) & (u <= 1.0)).all():
             return u

@@ -34,11 +34,13 @@ contests about 7 steps meet the residual contract where bisection took
 about 30.
 The two design searches read each j of a bracket of at most 65 once, in one
 kernel call, so at n <= 65 ``c_star`` costs one call on n points. Over a
-wider range ``optimal_contest`` first reads the 32 ranks around the
-predicted j* ~ vc - sqrt((1 - vc/n) vc / ln vc), vc = V/c: the Poisson
-limit's measured j* (``compstat.poisson_limit``) with the binomial variance
-factor 1 - vc/n. That read usually holds j*, and then the search is one
-call of the inverse on 34 ranks.
+wider range ``optimal_contest`` first reads a window of 6 ranks from one
+below the predicted j* ~ vc - sqrt((1 - vc/n) vc / ln vc), vc = V/c: the
+Poisson limit's measured j* (``compstat.poisson_limit``) with the binomial
+variance factor 1 - vc/n. j* lies 0 to 3 ranks above the prediction in
+most designs, and then the search is one call of the inverse on 6 ranks;
+a miss reads the neighbouring window, up to 3 windows, before the probe
+rounds.
 """
 
 from __future__ import annotations

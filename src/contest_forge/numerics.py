@@ -28,9 +28,10 @@ Conventions
 * ``first_descent`` finds the first j at which a sequence stops increasing,
   the argmax of a unimodal sequence, without evaluating all of a long one.
   It is one loop: each round reads the whole bracket when at most 65
-  indices remain, a window of 34 around a predicted index on the first
-  round, or else 64 probe pairs, and narrows the bracket by the one descent
-  test. The prediction moves the reads, never the answer.
+  indices remain, else a window of 6 contiguous indices at a predicted index
+  (stepped to the neighbouring window on a miss, at most 3 windows), else
+  64 probe pairs, and narrows the bracket by the one descent test. The
+  prediction moves the reads, never the answer.
 * Root finders return a :class:`BracketedRoot`; saturation flags mark targets
   that fall outside the value range on the bracket instead of raising.
 
@@ -53,7 +54,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import IterationLimit, NumericalError
+from .errors import IterationLimit, NumericalError, ValidationError
 
 __all__ = [
     "BracketedRoot",
@@ -76,8 +77,10 @@ _REL_ROOT_TOL = 1e-12
 _TIE_TOL = 1e-12
 # indices probed per round of first_descent
 _PROBES = 64
-# indices of first_descent's guided first read, besides the two on its edges
-_WINDOW = 32
+# contiguous indices in each of first_descent's guided reads
+_WINDOW = 6
+# guided reads first_descent makes before its probe rounds take over
+_WINDOW_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,14 @@ def binom_logpmf(n: int, ks, p) -> np.ndarray:
 
 
 def poisson_cdf_partial(lam: float, j: int) -> float:
-    """sum_{k=0}^{j-1} e^(-lam) lam^k / k!  (requires j >= 1, lam >= 0)."""
+    """sum_{k=0}^{j-1} e^(-lam) lam^k / k!  (requires j >= 1, lam >= 0).
+
+    j < 1 and a negative or NaN ``lam`` raise :class:`ValidationError`.
+    """
     if j < 1:
-        raise ValueError(f"j must be a positive integer, got {j!r}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+        raise ValidationError(f"j must be a positive integer, got {j!r}")
+    if not lam >= 0.0:  # NaN fails too
+        raise ValidationError(f"lam must be nonnegative, got {lam!r}")
     # Regularised upper incomplete gamma Q(j, lam) equals this partial sum
     # exactly for integer j.
     return float(special.gammaincc(j, lam))
@@ -243,32 +249,46 @@ def first_descent(
     descent is the smallest argmax (ties within 1e-12 relative), so it is
     searched for instead of scanned, in rounds of one call of f each. A
     bracket [lo, hi] of at most 65 indices is read whole, so hi <= 65 is one
-    call on hi points. Given ``near``, a predicted first descent, the first
-    round of a wider bracket reads the 34 indices [a - 1, a + 32], with
-    a = round(near) - 16 clipped into [2, hi - 32]. Any other round probes
-    64 evenly spaced j, the last hi - 1, and each j + 1: 128 points. A round
-    narrows the bracket by one rule: hi becomes the first tested j that
-    descends, and lo the tested j before it, plus 1; with no descent, lo
-    becomes the last index read. The search ends at a bracket of one index,
-    whose value the round has read. f(j) == 0 means a left tail has
-    underflowed, not that f has peaked. The answer does not depend on
-    ``near``: the rule relies only on f descending from its first descent on.
+    call on hi points. Given ``near``, a predicted first descent, a wider
+    bracket is first read in a window of 6 contiguous indices [a, a + 5],
+    a = round(near) - 1 clipped into [1, hi - 5], which tests round(near) - 1
+    to round(near) + 3 and so answers in one call when the first descent is
+    one of round(near) to round(near) + 3. A window that holds no descent,
+    or descends at its first index, is followed by the neighbouring window
+    in that direction, [lo, lo + 5] or [hi - 5, hi], until 3 windows are
+    read or at most 6 indices remain. Any other round probes 64 evenly
+    spaced j, the last hi - 1, and each j + 1: 128 points. A round narrows
+    the bracket by one rule: hi becomes the first tested j that descends,
+    and lo the tested j before it, plus 1; with no descent, lo becomes the
+    last index read. The search ends at a bracket of one index, whose value
+    the round has read. f(j) == 0 means a left tail has underflowed, not
+    that f has peaked. A window whose values are all 0 narrows nothing,
+    since it cannot tell a left tail from a right one, and ends the
+    windows. The answer does not depend on ``near``: the rule relies only
+    on f descending from its first descent on.
     """
     lo = 1  # the first descent lies in [lo, hi]
+    # guided windows left to read, and where the next one starts, unclipped
+    windows = 0 if near is None or hi <= _PROBES + 1 else _WINDOW_STEPS
+    at = round(near) - 1 if windows else 0
     while True:
-        if hi - lo <= _PROBES:
+        window = windows > 0 and hi - lo >= _WINDOW
+        if window:
+            a = min(max(at, lo), hi - _WINDOW + 1)
+            read = np.arange(a, a + _WINDOW)
+            js = read[:-1]
+            windows -= 1
+        elif hi - lo <= _PROBES:
             read = np.arange(lo, hi + 1)
             js = read[:-1]
-        elif near is not None:
-            a = min(max(round(near) - _WINDOW // 2, 2), hi - _WINDOW)
-            read = np.arange(a - 1, a + _WINDOW + 1)
-            js = read[:-1]
-            near = None
         else:
             # spacing >= 1, so the probes are distinct; the last is hi - 1
             js = lo + (np.arange(_PROBES) * (hi - 1 - lo)) // (_PROBES - 1)
             read = np.concatenate([js, js + 1])
         values = f(read)
+        if window and not values.any():
+            windows = 0
+            continue
         # f(j + 1) is read 1 after f(j) in a contiguous read, 64 after in probes
         y, y_next = values[: js.size], values[read.size - js.size :]
         descent = (y > 0.0) & (y_next <= y * (1.0 + _TIE_TOL))
@@ -281,6 +301,10 @@ def first_descent(
             lo, value = int(read[-1]), values[-1]
         if lo == hi:
             return hi, float(value)
+        if window:
+            # no descent moved lo past a: step right, to start at lo; a
+            # descent at a moved hi to a: step left, to end at hi
+            at = lo if lo > a else hi - _WINDOW + 1
 
 
 def bisect_decreasing(

@@ -4,8 +4,11 @@ Over unimodal sequences of up to 10^5 values, with leading zeros, plateaus
 and near-ties within the 1e-12 tolerance, and with the predicted index
 absent or anywhere, outside [1, hi] included, the search answers what a
 dense scan answers and keeps to its read plan: one call on all hi points
-when hi <= 65, a first call on 34 contiguous indices when a guess is given
-and hi > 65, and never more than 128 points in one call.
+when hi <= 65; when a guess is given and hi > 65, a first call on the 6
+contiguous indices from round(guess) - 1 (clipped into [1, hi]), each
+later window the neighbouring 6 indices, at most 3 windows before the
+first probe round; never more than 128 points in one call, and at most 6
+calls in all.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def test_reads_follow_the_plan_and_match_the_dense_scan(data, hi, seed):
     rise = data.draw(st.integers(0, hi - zeros), label="rise")
     values = unimodal(hi, zeros, rise, seed)
     expected = dense_first_descent(values)
-    # the window [a, a + 31] is read with a - 1 and a + 32, a = round(near) - 16:
-    # offsets of 15 to 17 put the descent on or just past its edges
-    offsets = st.sampled_from((-17, -16, -15, 15, 16, 17)) | st.integers(-40, 40)
+    # the window [a, a + 5] is read, a = round(near) - 1, and tests a to a + 4:
+    # offsets of 1 and -3 put the descent on its edges, 2, -4 and -5 past them
+    offsets = st.sampled_from((-5, -4, -3, 1, 2)) | st.integers(-40, 40)
     near = data.draw(
         st.none()
         | st.floats(-2.0 * hi, 3.0 * hi, allow_nan=False)
@@ -77,6 +80,17 @@ def test_reads_follow_the_plan_and_match_the_dense_scan(data, hi, seed):
         assert len(reads) == 1
         np.testing.assert_array_equal(reads[0], np.arange(1, hi + 1))
     elif near is not None:
-        first = reads[0]
-        assert first.size == 34
-        np.testing.assert_array_equal(first, np.arange(first[0], first[0] + 34))
+        a = min(max(round(near) - 1, 1), hi - 5)
+        np.testing.assert_array_equal(reads[0], np.arange(a, a + 6))
+        # the reads before the first probe round are the windows, each the
+        # neighbour of the one before (it starts at that one's last index or
+        # ends at its first), and at most one last read of the narrowed
+        # bracket, read whole, that ends the search
+        probe = next((k for k, js in enumerate(reads) if js.size == 128), len(reads))
+        guided = reads[:probe]
+        assert len(guided) <= (3 if probe < len(reads) else 4)
+        assert all(js.size == 6 for js in guided[: 3 if probe < len(reads) else -1])
+        for before, js in zip(guided, guided[1:]):
+            np.testing.assert_array_equal(js, np.arange(js[0], js[0] + js.size))
+            assert js[0] == before[-1] or js[-1] == before[0]
+    assert len(reads) <= 6

@@ -503,15 +503,18 @@ class TestFirstDescent:
 
     def test_guided_matches_dense_scan_from_any_start(self):
         """The predicted index changes the reads, never the answer: at the
-        descent, beside it, on and past the window's edges (16 and 17 away),
-        at the ends of [1, hi] and outside it."""
+        descent, beside it, 16 and 17 away, on and past the edges of the
+        first window (which tests round(near) - 1 to round(near) + 3) and of
+        the stepped windows after it, at the ends of [1, hi] and outside it."""
         bump = np.array([0.0] * 80 + [1.0, 2.0, 1.0] + [0.0] * 20)
         for trial, values in [*self.tie_sequences(), ("bump", bump)]:
             hi = values.size
             expected = self.dense_first_descent(values)
             d = expected[0]
             for near in (d, d - 1, d + 1, d - 16, d + 16, d - 17, d + 17,
-                         1, hi, 0, -40, hi + 1, hi + 500, d + 0.5):
+                         1, hi, 0, -40, hi + 1, hi + 500, d + 0.5,
+                         d + 2, d - 3, d - 4, d - 5, d + 6, d + 7, d - 9, d - 10,
+                         d + 11, d + 12, d - 14, d - 15):
                 f, _ = self.counted(values)
                 assert first_descent(f, hi, near) == expected, (trial, near)
 
@@ -525,37 +528,86 @@ class TestFirstDescent:
 
         return f, reads
 
-    # a peak at 300 of hi = 1000; the guided window is [near - 16, near + 15]
+    # a peak at 300 of hi = 1000; a guided window reads [r - 1, r + 4],
+    # r = round(near), and tests r - 1 to r + 3
     PEAKED = 1e4 - np.abs(np.arange(1, 1001) - 300.0)
 
-    def test_guided_hit_is_one_read_of_34(self):
-        # near rounds to an index, and the window holds 300 from 285 to 316
-        for near in (284.6, 285, 300, 316, 316.4):
+    @staticmethod
+    def window(first):
+        return np.arange(first, first + 6)
+
+    def test_guided_hit_is_one_read_of_6(self):
+        # near rounds to 297 to 300, so the window tests 300 past its first index
+        for near in (296.6, 297, 298, 299.5, 300, 300.4):
             f, reads = self.recorded(self.PEAKED)
             assert first_descent(f, 1000, near) == (300, 1e4)
             assert len(reads) == 1
-            js = reads[0]
-            np.testing.assert_array_equal(js, np.arange(js[0], js[0] + 34))
+            np.testing.assert_array_equal(reads[0], self.window(round(near) - 1))
+
+    def test_guided_miss_steps_to_the_neighbouring_window(self):
+        # [294, 299] does not descend, so [299, 304] is read, where 300 descends
+        f, reads = self.recorded(self.PEAKED)
+        assert first_descent(f, 1000, 295) == (300, 1e4)
+        assert [js.tolist() for js in reads] == [list(range(294, 300)), list(range(299, 305))]
+        # [304, 309] descends at 304, its first index, so [299, 304] is read next
+        f, reads = self.recorded(self.PEAKED)
+        assert first_descent(f, 1000, 305) == (300, 1e4)
+        assert [js.tolist() for js in reads] == [list(range(304, 310)), list(range(299, 305))]
+
+    def test_stepping_goes_on_where_the_bracket_narrows_below_65(self):
+        # the first window leaves [294, 340], read whole by an unguided search;
+        # the guided search keeps stepping instead
+        values = self.PEAKED[:340]
+        f, reads = self.recorded(values)
+        assert first_descent(f, 340, 290) == (300, 1e4)
+        assert [js[0] for js in reads] == [289, 294, 299]
+        assert all(js.size == 6 for js in reads)
 
     def test_guided_descent_before_the_window_narrows_left(self):
         f, reads = self.recorded(self.PEAKED)
         assert first_descent(f, 1000, 400) == (300, 1e4)
-        # the window is [384, 415]; 383 descends, so [1, 383] holds the answer
-        np.testing.assert_array_equal(reads[0], np.arange(383, 417))
-        assert len(reads) > 1 and all(js.max() <= 383 for js in reads[1:])
+        # each window descends at its first index and the next ends there:
+        # after three, [1, 389] holds the answer and the probe rounds take over
+        for js, first in zip(reads, (399, 394, 389)):
+            np.testing.assert_array_equal(js, self.window(first))
+        assert reads[3].size == 128
+        assert len(reads) > 3 and all(js.max() <= 389 for js in reads[3:])
 
     def test_guided_window_before_the_descent_narrows_right(self):
         f, reads = self.recorded(self.PEAKED)
         assert first_descent(f, 1000, 100) == (300, 1e4)
-        # the window is [84, 115] with no descent, so [116, 1000] holds the answer
-        np.testing.assert_array_equal(reads[0], np.arange(83, 117))
-        assert len(reads) > 1 and all(js.min() >= 116 for js in reads[1:])
+        # no window descends and the next starts at its last index:
+        # after three, [114, 1000] holds the answer
+        for js, first in zip(reads, (99, 104, 109)):
+            np.testing.assert_array_equal(js, self.window(first))
+        assert reads[3].size == 128
+        assert len(reads) > 3 and all(js.min() >= 114 for js in reads[3:])
 
     def test_guided_window_is_clipped_into_the_range(self):
-        for near, first in ((-40, 1), (1, 1), (1000, 967), (5000, 967)):
+        for near, first in ((-40, 1), (1, 1), (1000, 995), (5000, 995)):
             f, reads = self.recorded(self.PEAKED)
             assert first_descent(f, 1000, near) == (300, 1e4)
-            np.testing.assert_array_equal(reads[0], np.arange(first, first + 34))
+            np.testing.assert_array_equal(reads[0], self.window(first))
+
+    def test_all_zero_window_narrows_nothing(self):
+        # a window in the trailing zeros of a bump cannot tell them from a
+        # left tail, so the probe rounds search all of [1, 103]
+        bump = np.array([0.0] * 80 + [1.0, 2.0, 1.0] + [0.0] * 20)
+        f, reads = self.recorded(bump)
+        assert first_descent(f, bump.size, 95) == (82, 2.0)
+        np.testing.assert_array_equal(reads[0], self.window(94))
+        assert reads[1].size == 128 and (reads[1].min(), reads[1].max()) == (1, 103)
+
+    @pytest.mark.parametrize("near", [None, 150, 151, 10, 290])
+    def test_tie_tolerance_is_1e_12_relative(self, near):
+        # a rise to index 150, one step up, then a fall: a step of 0.5e-12
+        # relative is a tie, so the descent is at 150; one of 1e-10 is a rise
+        rise = 1.0 + np.arange(150) / 150.0
+        for step, expected in ((0.5e-12, 150), (1e-10, 151)):
+            top = rise[-1] * (1.0 + step)
+            values = np.concatenate([rise, [top], top * 0.5 ** np.arange(1, 150)])
+            f, _ = self.counted(values)
+            assert first_descent(f, values.size, near) == (expected, float(values[expected - 1]))
 
     def test_guess_is_ignored_where_the_range_is_read_whole(self):
         values = 100.0 - np.abs(np.arange(1, 66) - 30.0)

@@ -27,10 +27,12 @@ from contest_forge.contest import (
 from contest_forge.distributions import (
     EmpiricalTypes,
     RectComponent,
+    PiecewiseLinearCDF,
     RectMixture,
     Uniform,
     low_cost_max_cdf,
     median_max_quality,
+    quantile,
     sample_joint,
 )
 from contest_forge.errors import ValidationError
@@ -52,6 +54,7 @@ from contest_forge.homogeneous import (
     optimal_contest,
     participation_rate,
 )
+from contest_forge.numerics import poisson_cdf_partial
 
 CONTEST = make_simple_contest(2, 1.0, 5)
 TYPES = EmpiricalTypes(q=[2.0, 1.0], c=[0.3, 0.3], w=[0.5, 0.5], n=5)
@@ -129,6 +132,11 @@ def test_scalar_gaps_raise_validation_error(call):
         pytest.param(lambda: SimpleLottery((math.nan,), 1.0), id="lottery-nan"),
         pytest.param(lambda: sample_joint(JD, np.random.default_rng(0), -1),
                      id="sample_joint-negative-size"),
+        pytest.param(lambda: poisson_cdf_partial(math.nan, 2), id="poisson_cdf_partial-nan-lam"),
+        pytest.param(lambda: poisson_cdf_partial(-1.0, 2), id="poisson_cdf_partial-negative-lam"),
+        pytest.param(lambda: poisson_cdf_partial(1.0, 0), id="poisson_cdf_partial-zero-j"),
+        pytest.param(lambda: expected_prize(CONTEST, 1.0 + 2**-52), id="prize-p-just-above-1"),
+        pytest.param(lambda: expected_prize(CONTEST, 1.5), id="prize-p-above-1"),
     ],
 )
 def test_reproduced_gaps_raise_validation_error(call):
@@ -223,6 +231,15 @@ def test_bools_and_arrays_at_the_scalar_boundary(call):
     answered as its element; a bool answered as 1.0."""
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("u", [True, False, np.True_], ids=["True", "False", "numpy-True"])
+@pytest.mark.parametrize("qd", [UNIFORM, PiecewiseLinearCDF(((0.0, 0.0), (1.0, 1.0)))],
+                         ids=["uniform", "piecewise"])
+def test_quantile_refuses_a_bool(qd, u):
+    """quantile(Uniform(0, 1), True) once answered 1.0."""
+    with pytest.raises(ValidationError, match=r"^quantile argument outside \[0, 1\]$"):
+        quantile(qd, u)
 
 
 def test_numpy_scalars_and_0d_arrays_stay_accepted():
